@@ -11,6 +11,9 @@ state produces byte-identical files.
 "XCKP1" stores float32 tensors. "XCKQ1" stores every tensor as int8 with a
 per-tensor symmetric scale in the index entry, plus calibrated activation
 scales under a dedicated header key.
+
+Format version 2 dropped the query and key tensors of the prompting blocks,
+which could not affect any output; version-1 files are rejected.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .params import ModelConfig, ModelParams, param_specs
 
 MAGIC_FP32 = b"XCKP1"
 MAGIC_QUANT = b"XCKQ1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPE_TO_CODE = {
     np.dtype(np.float32): "f32",

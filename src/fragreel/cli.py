@@ -45,12 +45,11 @@ from .detection import (
 )
 from .errors import ConfigError, DataError, DataResolutionError, EmptyInput, FragreelError
 from .frames import ClipStore, DecoderSource, preprocess_clip, read_rgbc_file
-from .metrics import EvalRecord, evaluation_report
+from .metrics import evaluation_report
 from .params import ModelParams
 from .quantize import load_quantized_model, quantize_model
-from .textmodel import PromptCache, classify, load_catalogue, prompt_set_for
-from .training import materialize_examples, train
-from .videomodel import encode_video
+from .textmodel import PromptCache, load_catalogue, prompt_set_for
+from .training import eval_records, materialize_examples, train
 
 logger = logging.getLogger("fragreel")
 
@@ -194,20 +193,6 @@ def cmd_train(args, run: RunConfig) -> int:
     return 0
 
 
-def _records_for(examples, params, catalogue, cache, qctx) -> list[EvalRecord]:
-    prompt_sets = {}
-    records = []
-    for ex in examples:
-        if ex.game not in prompt_sets:
-            prompt_sets[ex.game] = prompt_set_for(ex.game, catalogue)
-        v = encode_video(ex.clip, params, qctx)
-        probs = classify(v, prompt_sets[ex.game], params, cache, qctx)
-        records.append(
-            EvalRecord(true_label=ex.label, probabilities=tuple(probs), game=ex.game)
-        )
-    return records
-
-
 def cmd_eval(args, run: RunConfig) -> int:
     manifest = manifest_from_json(Path(args.manifest).read_bytes())
     store = _store(run)
@@ -216,7 +201,7 @@ def cmd_eval(args, run: RunConfig) -> int:
         raise EmptyInput(f"manifest has no {args.split} entries")
     examples = materialize_examples(entries, store, run.train)
     params, qctx = _load_model(args.checkpoint)
-    records = _records_for(examples, params, _catalogue(run), PromptCache(), qctx)
+    records = eval_records(examples, params, _catalogue(run), PromptCache(), qctx)
     report = evaluation_report(records)
     text = json.dumps(report, sort_keys=True, ensure_ascii=False) + "\n"
     _write_text(args.out, text)

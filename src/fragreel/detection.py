@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .autodiff import no_grad
 from .catalogue import EventLabel, GameId, parse_label
 from .errors import DataError, EmptyInput, MalformedJson
-from .textmodel import classify
+from .textmodel import classify, predict_label
 from .videomodel import encode_video
 
 WINDOW_S = 3
@@ -101,8 +101,7 @@ def classify_second(clip, prompt_set, params, cache=None, qctx=None, second_inde
     with no_grad():
         v = encode_video(clip, params, qctx)
         probs = classify(v, prompt_set, params, cache, qctx)
-    best = max(range(len(probs)), key=lambda i: (probs[i][1], -i))
-    label, p = probs[best]
+    label, p = predict_label(probs)
     return SecondPrediction(
         second_index=second_index,
         label=label,

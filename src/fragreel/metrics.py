@@ -10,12 +10,13 @@ over pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .catalogue import EventLabel, GameId
 from .errors import DataError, EmptyInput, SingleClass
+from .textmodel import predict_label
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,7 @@ class EvalRecord:
 
     @property
     def predicted(self) -> EventLabel:
-        best = max(
-            range(len(self.probabilities)),
-            key=lambda i: (self.probabilities[i][1], -i),
-        )
-        return self.probabilities[best][0]
+        return predict_label(self.probabilities)[0]
 
     def probability_of(self, label: EventLabel) -> float:
         for candidate, p in self.probabilities:

@@ -6,12 +6,13 @@ The encoder is a small pre-norm transformer over the token sequence; the
 hidden state at the EOS position, projected to the shared width d, is the
 base class embedding c.
 
-Per clip, each c is conditioned on the video embedding v by two residual
-blocks of cross-attention (query c, key/value v) followed by a feed-forward,
-and blended as c_bar = c + alpha * c2 with a constant alpha. Class
+Per clip, two residual blocks condition each c on the video embedding v,
+x += a_i then x += ffn_i(x) from x = c, and c_bar = c + alpha * x. X-CLIP
+makes a_i cross-attention from c to v; v is the only key, and a softmax over
+one key is exactly 1, so a_i is the closed form out_i(V_i(v)): no query or
+key projections, computed once per clip for all K classes. Class
 probabilities are the softmax of logit_scale * cos(v, c_bar_i) in prompt
-order. Base embeddings are cached per prompt set so the text encoder runs
-once per distinct set, not once per clip.
+order. Base embeddings are cached per prompt set, not recomputed per clip.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     TooLong,
 )
-from .layers import ffn, layer_norm, mhsa
+from .layers import ffn, layer_norm, linear, mhsa, qpass
 from .params import CONTEXT_LENGTH, VOCAB_SIZE, ModelParams
 
 BOS = 256
@@ -167,30 +168,31 @@ def encode_text(tokens, params: ModelParams, qctx=None) -> Tensor:
 
 
 def video_prompt(c: Tensor, v: Tensor, params: ModelParams, qctx=None) -> Tensor:
-    """Condition a base class embedding on the clip: c_bar = c + alpha*c2."""
+    """c_bar = c + alpha*x for one class row c (d,) or a batch (K, d)."""
     cfg = params.config.text
     d = params.config.encoder.d_model
-    if c.shape != (d,) or v.shape != (d,):
+    if c.data.ndim not in (1, 2) or c.shape[-1] != d or v.shape != (d,):
         raise ShapeMismatch(f"prompting expects width {d}, got {c.shape} and {v.shape}")
-    x = reshape(c, (1, d))
+    x = reshape(c, (-1, d))
     kv = reshape(v, (1, d))
     for i in range(cfg.prompt_blocks):
         pf = f"prompt.blocks.{i}"
-        x = x + mhsa(x, kv, params, f"{pf}.attn", cfg.prompt_heads, qctx)
+        values = qpass(qctx, f"{pf}.attn.av:b", linear(kv, params, f"{pf}.attn.v", qctx))
+        x = x + linear(values, params, f"{pf}.attn.out", qctx)
         x = x + ffn(x, params, f"{pf}.ffn", qctx)
-    return c + reshape(x, (d,)) * cfg.alpha
+    return c + reshape(x, c.shape) * cfg.alpha
 
 
 class PromptCache:
     """Base prompt embeddings keyed by prompt content and text version.
 
-    Safe for concurrent readers; insertion is exclusive. Hits return the
-    stored array object, so repeated lookups are bit-identical.
+    ``fetch`` holds the lock across a miss, its fill and the insert, so each
+    key is filled once. Hits return the stored array, so they are bit-identical.
     """
 
     def __init__(self):
         self._store: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # reentrant: fetch calls lookup under it
         self.hits = 0
         self.misses = 0
         self.encode_calls = 0  # encode_text invocations made to fill the cache
@@ -213,12 +215,16 @@ class PromptCache:
                 self.hits += 1
             return found
 
-    def insert(self, key: str, value: np.ndarray, encode_calls: int) -> None:
-        value = np.asarray(value)
-        value.setflags(write=False)
+    def fetch(self, key: str, fill) -> np.ndarray:
+        """The entry for ``key``, made by ``fill()`` on a miss and stored read-only."""
         with self._lock:
-            self._store[key] = value
-            self.encode_calls += encode_calls
+            found = self.lookup(key)
+            if found is None:
+                found = fill()
+                found.setflags(write=False)
+                self._store[key] = found
+                self.encode_calls += len(found)  # one encode per prompt row
+            return found
 
 
 def base_embeddings(
@@ -230,28 +236,25 @@ def base_embeddings(
     """Stacked base embeddings (K, d) for a prompt set, cache-aware."""
     if not prompt_set.prompts:
         raise EmptyPromptSet(f"no prompts for game {prompt_set.game.value}")
-    key = None
-    if cache is not None:
-        key = PromptCache.fingerprint(prompt_set, params.text_version)
-        found = cache.lookup(key)
-        if found is not None:
-            return found
-    with no_grad():
-        rows = [encode_text(tokenize(p.rendered), params, qctx).data for p in prompt_set.prompts]
-    stacked = np.stack(rows)
-    if cache is not None:
-        cache.insert(key, stacked, encode_calls=len(rows))
-    return stacked
+
+    def encode() -> np.ndarray:
+        with no_grad():
+            return np.stack([encode_text(tokenize(p.rendered), params, qctx).data
+                             for p in prompt_set.prompts])
+
+    if cache is None:
+        return encode()
+    return cache.fetch(PromptCache.fingerprint(prompt_set, params.text_version), encode)
 
 
 def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """cos(a, b) with a tiny additive floor so zero vectors yield 0.
+    """cos(a, b) over the last axis, with a tiny additive floor so zero vectors yield 0.
 
     Clamped to [-1, 1]: rounding can push parallel vectors one ulp past 1.
     """
-    dot = sum_(a * b)
-    na2 = sum_(a * a) + COSINE_EPS
-    nb2 = sum_(b * b) + COSINE_EPS
+    dot = sum_(a * b, axis=-1)
+    na2 = sum_(a * a, axis=-1) + COSINE_EPS
+    nb2 = sum_(b * b, axis=-1) + COSINE_EPS
     return clip(dot * power(na2 * nb2, -0.5), -1.0, 1.0)
 
 
@@ -277,16 +280,12 @@ def classification_logits(
         return full[np.asarray(cols)]
 
     if text_grad:
-        cs = [encode_text(tokenize(p.rendered), params, qctx) for p in prompt_set.prompts]
+        rows = [encode_text(tokenize(p.rendered), params, qctx) for p in prompt_set.prompts]
+        c = concat([reshape(row, (1, row.shape[0])) for row in rows], axis=0)
     else:
-        base = base_embeddings(prompt_set, params, cache, qctx)
-        cs = [Tensor(base[i]) for i in range(base.shape[0])]
-    scale = params["head.logit_scale"]
-    logits = []
-    for c in cs:
-        c_bar = video_prompt(c, v, params, qctx)
-        logits.append(reshape(cosine(v, c_bar) * scale, (1,)))
-    return concat(logits, axis=0)
+        c = Tensor(base_embeddings(prompt_set, params, cache, qctx))
+    c_bar = video_prompt(c, v, params, qctx)
+    return cosine(v, c_bar) * params["head.logit_scale"]
 
 
 def classify(

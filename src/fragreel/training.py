@@ -22,6 +22,7 @@ from .autodiff import concat, log_softmax, mean, no_grad, reshape
 from .catalogue import EventLabel, GameId
 from .errors import ConfigError, NonFiniteGradient
 from .checkpoint import save_checkpoint
+from .metrics import EvalRecord, accuracy
 from .params import ModelParams
 from .textmodel import PromptCache, classification_logits, classify, prompt_set_for
 from .videomodel import encode_video
@@ -141,20 +142,26 @@ def _batch_loss(batch, params, prompt_sets, cache, text_grad):
     return mean(concat(losses, axis=0)), correct
 
 
+def eval_records(examples, params: ModelParams, catalogue=None, cache=None,
+                 qctx=None) -> list[EvalRecord]:
+    """Classify every example; one record of its probabilities each."""
+    prompt_sets = _prompt_sets_for(examples, catalogue)
+    records = []
+    with no_grad():
+        for ex in examples:
+            v = encode_video(ex.clip, params, qctx)
+            probs = classify(v, prompt_sets[ex.game], params, cache, qctx)
+            records.append(
+                EvalRecord(true_label=ex.label, probabilities=tuple(probs), game=ex.game)
+            )
+    return records
+
+
 def evaluate(examples, params: ModelParams, catalogue=None, cache=None) -> float | None:
     """Argmax accuracy over examples; None when the list is empty."""
     if not examples:
         return None
-    prompt_sets = _prompt_sets_for(examples, catalogue)
-    correct = 0
-    with no_grad():
-        for ex in examples:
-            v = encode_video(ex.clip, params)
-            probs = classify(v, prompt_sets[ex.game], params, cache)
-            pred = max(range(len(probs)), key=lambda i: (probs[i][1], -i))
-            if probs[pred][0] == ex.label:
-                correct += 1
-    return correct / len(examples)
+    return accuracy(eval_records(examples, params, catalogue, cache))
 
 
 def train(

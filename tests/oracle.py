@@ -144,11 +144,17 @@ def o_encode_text(tokens, p: dict, n_layers: int, n_heads: int) -> np.ndarray:
 
 def o_video_prompt(c: np.ndarray, v: np.ndarray, p: dict, n_blocks: int,
                    n_heads: int, alpha: float) -> np.ndarray:
+    """Prompting blocks on one class row c.
+
+    Each block's attention has the single key/value token v: every head's
+    softmax runs over one score and is exactly 1, so the attention output
+    is the projected value out(V(v)) and ``n_heads`` cannot matter.
+    """
     x = c[None, :]
     kv = v[None, :]
     for i in range(n_blocks):
         pf = f"prompt.blocks.{i}"
-        x = x + o_attention(x, kv, p, f"{pf}.attn", n_heads)
+        x = x + o_linear(o_linear(kv, p, f"{pf}.attn.v"), p, f"{pf}.attn.out")
         x = x + o_ffn(x, p, f"{pf}.ffn")
     return c + alpha * x[0]
 

@@ -79,10 +79,11 @@ class TestContainer:
         path = tmp_path / "c.bin"
         write_container(path, MAGIC_FP32, {}, {"x": np.zeros(2, dtype=np.float32)})
         blob = bytearray(path.read_bytes())
-        blob[5:9] = struct.pack("<I", 99)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(DataError):
-            read_container(path, MAGIC_FP32)
+        for version in (99, 1):  # version 1 still held the prompting q/k tensors
+            blob[5:9] = struct.pack("<I", version)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(DataError, match=f"version {version}$"):
+                read_container(path, MAGIC_FP32)
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "c.bin"

@@ -1,6 +1,7 @@
 """Session inference: windowing, overlap scoring, and highlight cuts."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fragreel.detection import (
 )
 from fragreel.errors import DataError, EmptyInput, MalformedJson
 from fragreel.params import ModelParams
-from fragreel.textmodel import prompt_set_for
+from fragreel.textmodel import PromptCache, prompt_set_for
 
 
 def bg(i: int, p: float = 0.5) -> SecondPrediction:
@@ -287,3 +288,21 @@ class TestClassifySession:
             assert a.label is b.label
             assert a.probability == b.probability
             assert a.probabilities == b.probabilities
+
+    def test_workers_meeting_an_empty_cache_encode_prompts_once(self, setup):
+        params, prompt_set, clips = setup
+        barrier = threading.Barrier(2, timeout=30)
+
+        class SimultaneousClips:
+            """Two seconds whose fetches release both workers together."""
+
+            def __len__(self):
+                return 2
+
+            def __getitem__(self, i):
+                barrier.wait()
+                return clips[i]
+
+        cache = PromptCache()
+        classify_session(SimultaneousClips(), prompt_set, params, cache=cache, jobs=2)
+        assert cache.encode_calls == len(prompt_set.prompts)

@@ -75,11 +75,11 @@ class TestBuildingBlocks:
 
     def test_cross_attention_matches_oracle(self, setup):
         cfg, params, p, rng, _ = setup
-        q = rng.normal(size=(1, 8))
-        kv = rng.normal(size=(1, 8))
-        got = mhsa(Tensor(q), Tensor(kv), params, "prompt.blocks.0.attn", 2).data
+        q = rng.normal(size=(2, 8))
+        kv = rng.normal(size=(3, 8))
+        got = mhsa(Tensor(q), Tensor(kv), params, "video.mit.0.attn", 2).data
         np.testing.assert_allclose(
-            got, oracle.o_attention(q, kv, p, "prompt.blocks.0.attn", 2), atol=TOL
+            got, oracle.o_attention(q, kv, p, "video.mit.0.attn", 2), atol=TOL
         )
 
     def test_ffn_matches_oracle(self, setup):

@@ -70,8 +70,9 @@ class TestParamSpecs:
             + ln + attn + ln + ffn
             + d * d           # projection to shared width
         )
+        prompt_attn = 2 * (d * d + d)  # value and output projections only
         prompt_ffn = d * 32 + 32 + 32 * d + d
-        prompt = 2 * (attn + prompt_ffn)
+        prompt = 2 * (prompt_attn + prompt_ffn)
         assert param_count(cfg, "video_encoder") == video
         assert param_count(cfg, "text_encoder") == text
         assert param_count(cfg, "prompting_module") == prompt

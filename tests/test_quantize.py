@@ -134,11 +134,16 @@ class TestCalibration:
         scales = calibrate_activations(params, [clip], [ps])
         sites = set(scales)
         assert "video.patch_proj:in" in sites
+        attention = (".q:in", ".k:in", ".v:in", ".out:in", ".qk:a", ".qk:b", ".av:a", ".av:b")
         for prefix in ("video.cct.0.cfa", "video.cct.0.ifa", "video.mit.0.attn",
-                       "text.layers.0.attn", "prompt.blocks.0.attn"):
-            for suffix in (".q:in", ".k:in", ".v:in", ".out:in",
-                           ".qk:a", ".qk:b", ".av:a", ".av:b"):
+                       "text.layers.0.attn"):
+            for suffix in attention:
                 assert prefix + suffix in sites, prefix + suffix
+        # the prompting attention has one key: only the value path reaches a matmul
+        kept = (".v:in", ".av:b", ".out:in")
+        for prefix in ("prompt.blocks.0.attn", "prompt.blocks.1.attn"):
+            for suffix in attention:
+                assert (prefix + suffix in sites) == (suffix in kept), prefix + suffix
         for prefix in ("video.cct.0.ffn", "video.mit.0.ffn", "text.layers.0.ffn",
                        "prompt.blocks.0.ffn"):
             assert prefix + ".in:in" in sites

@@ -172,6 +172,12 @@ class TestVideoPromptOracle:
         got = video_prompt(Tensor(c), Tensor(v), params).data
         want = oracle.o_video_prompt(c, v, p, n_blocks=2, n_heads=2, alpha=0.1)
         np.testing.assert_allclose(got, want, atol=TOL)
+        batch = rng.normal(size=(6, 8))  # K class rows conditioned at once
+        got = video_prompt(Tensor(batch), Tensor(v), params).data
+        assert got.shape == batch.shape
+        for row, c_row in zip(got, batch):
+            want = oracle.o_video_prompt(c_row, v, p, n_blocks=2, n_heads=2, alpha=0.1)
+            np.testing.assert_allclose(row, want, atol=TOL)
 
     def test_blend_reduces_to_scaling_with_zeroed_blocks(self, text_setup):
         cfg, params, _ = text_setup
