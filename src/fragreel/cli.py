@@ -46,6 +46,7 @@ from .detection import (
 from .errors import ConfigError, DataError, DataResolutionError, EmptyInput, FragreelError
 from .frames import ClipStore, DecoderSource, preprocess_clip, read_rgbc_file
 from .metrics import evaluation_report
+from .parallel import blas_threads, worker_plan
 from .params import ModelParams
 from .quantize import load_quantized_model, quantize_model
 from .textmodel import PromptCache, load_catalogue, prompt_set_for
@@ -158,8 +159,8 @@ def cmd_build_manifest(args, run: RunConfig) -> int:
 def _split_examples(manifest, store, run: RunConfig):
     train_entries = [e for e in manifest.entries if e.split == "train"]
     test_entries = [e for e in manifest.entries if e.split == "test"]
-    train_set = materialize_examples(train_entries, store, run.train)
-    test_set = materialize_examples(test_entries, store, run.train)
+    train_set = materialize_examples(train_entries, store, run.jobs)
+    test_set = materialize_examples(test_entries, store, run.jobs)
     return train_set, test_set
 
 
@@ -199,7 +200,7 @@ def cmd_eval(args, run: RunConfig) -> int:
     entries = [e for e in manifest.entries if args.split in ("all", e.split)]
     if not entries:
         raise EmptyInput(f"manifest has no {args.split} entries")
-    examples = materialize_examples(entries, store, run.train)
+    examples = materialize_examples(entries, store, run.jobs)
     params, qctx = _load_model(args.checkpoint)
     records = eval_records(examples, params, _catalogue(run), PromptCache(), qctx)
     report = evaluation_report(records)
@@ -236,6 +237,9 @@ def cmd_detect(args, run: RunConfig) -> int:
         raise EmptyInput(f"{args.video}: no whole second to classify")
     prompt_set = prompt_set_for(game, _catalogue(run))
     clips = SessionClips(store, game, args.video, seconds)
+    workers, per_worker = worker_plan(run.jobs, seconds)
+    logger.info("detect: %d seconds on %d workers, %s BLAS threads each",
+                seconds, workers, per_worker)
     preds = classify_session(
         clips, prompt_set, params, cache=PromptCache(), qctx=qctx, jobs=run.jobs
     )
@@ -357,6 +361,7 @@ def cmd_bench(args, run: RunConfig) -> int:
         "latency_mean_s": sum(latencies) / len(latencies),
         "latency_max_s": max(latencies),
         "latencies_s": latencies,
+        "blas_threads": blas_threads(),
     }
     text = json.dumps(report, sort_keys=True) + "\n"
     if args.out:

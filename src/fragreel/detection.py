@@ -13,12 +13,12 @@ list.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .autodiff import no_grad
 from .catalogue import EventLabel, GameId, parse_label
 from .errors import DataError, EmptyInput, MalformedJson
+from .parallel import map_ordered
 from .textmodel import classify, predict_label
 from .videomodel import encode_video
 
@@ -114,7 +114,7 @@ def classify_session(clips, prompt_set, params, cache=None, qctx=None, jobs=1) -
     """Classify a sequence of per-second clips, one prediction per second.
 
     ``clips`` is indexable by second; classification is read-only over the
-    model, so seconds may run on a small thread pool.
+    model, so seconds run on up to ``jobs`` workers (see ``parallel``).
     """
     seconds = len(clips)
     if seconds < 1:
@@ -123,10 +123,7 @@ def classify_session(clips, prompt_set, params, cache=None, qctx=None, jobs=1) -
     def work(i: int) -> SecondPrediction:
         return classify_second(clips[i], prompt_set, params, cache, qctx, second_index=i)
 
-    if jobs <= 1:
-        return [work(i) for i in range(seconds)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, range(seconds)))
+    return map_ordered(work, range(seconds), jobs)
 
 
 def slide_windows(preds: list[SecondPrediction], targets) -> list[WindowDecision]:

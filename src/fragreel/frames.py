@@ -236,23 +236,24 @@ class ClipStore:
         raise DataResolutionError(f"no video file for {game.value}/{video} under {self.data_root}")
 
     def _load(self, path: Path) -> RawClip:
+        # held across miss, read and insert, so concurrent misses on one
+        # path read it once
         with self._lock:
             cached = self._cache.get(path)
-        if cached is not None:
-            return cached
-        if path.suffix == ".rgbc":
-            clip = read_rgbc_file(path)
-        elif self.decoder is not None:
-            raise DataResolutionError(
-                f"{path} is not .rgbc; decode windows via raw_second instead"
-            )
-        else:
-            raise DataResolutionError(f"{path} is not .rgbc and no decoder is configured")
-        with self._lock:
+            if cached is not None:
+                return cached
+            if path.suffix == ".rgbc":
+                clip = read_rgbc_file(path)
+            elif self.decoder is not None:
+                raise DataResolutionError(
+                    f"{path} is not .rgbc; decode windows via raw_second instead"
+                )
+            else:
+                raise DataResolutionError(f"{path} is not .rgbc and no decoder is configured")
             if len(self._cache) >= self.cache_files:
                 self._cache.pop(next(iter(self._cache)))
             self._cache[path] = clip
-        return clip
+            return clip
 
     def duration(self, game: GameId, video: str) -> float:
         return self._load(self.resolve(game, video)).duration_s

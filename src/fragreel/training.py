@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .catalogue import EventLabel, GameId
 from .errors import ConfigError, NonFiniteGradient
 from .checkpoint import save_checkpoint
 from .metrics import EvalRecord, accuracy
+from .parallel import map_ordered
 from .params import ModelParams
 from .textmodel import PromptCache, classification_logits, classify, prompt_set_for
 from .videomodel import encode_video
@@ -42,7 +42,6 @@ class TrainConfig:
     weight_decay: float = 8e-5
     seed: int = 0
     freeze: frozenset = field(default_factory=lambda: DEFAULT_FREEZE)
-    workers: int = 2
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -244,16 +243,15 @@ def train(
     return best_params if best_params is not None else params, history
 
 
-def materialize_examples(manifest_entries, store, cfg: TrainConfig) -> list[TrainExample]:
+def materialize_examples(manifest_entries, store, jobs: int = 1) -> list[TrainExample]:
     """Resolve manifest entries to preprocessed clip tensors.
 
-    Decoding runs on a small thread pool (cfg.workers); output order matches
-    the input entries regardless of completion order.
+    Decoding runs on up to ``jobs`` workers (see ``parallel``); output order
+    matches the input entries regardless of completion order.
     """
 
     def load(entry):
         tensor = store.clip_tensor(entry)
         return TrainExample(clip=tensor.data, game=entry.game, label=entry.label)
 
-    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-        return list(pool.map(load, manifest_entries))
+    return map_ordered(load, manifest_entries, jobs)

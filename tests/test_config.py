@@ -94,6 +94,9 @@ class TestLoadRunConfig:
     def test_unknown_section_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="encoder"):
             load_run_config(write_config(tmp_path, {"encoder": {"bogus": 1}}))
+        # jobs is the one parallelism setting; train.workers is gone
+        with pytest.raises(ConfigError, match="workers"):
+            load_run_config(write_config(tmp_path, {"train": {"workers": 2}}))
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

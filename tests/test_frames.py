@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fragreel import frames
 from fragreel.annotations import ClipRef
 from fragreel.catalogue import EventLabel, GameId
 from fragreel.errors import DataResolutionError, EmptyClip, MalformedJson, ZeroDimension
@@ -202,6 +206,30 @@ class TestClipStore:
         second = store._load(store.resolve(GameId.CSGO, "v"))
         assert first is second
 
+    def test_concurrent_misses_read_the_file_once(self, tmp_path, monkeypatch):
+        self.write_video(tmp_path)
+        store = self.store(tmp_path)
+        reads = []
+        real_read = frames.read_rgbc_file
+
+        def slow_read(path):
+            reads.append(path)
+            time.sleep(0.05)  # both workers are past the lookup by now
+            return real_read(path)
+
+        monkeypatch.setattr(frames, "read_rgbc_file", slow_read)
+        barrier = threading.Barrier(2, timeout=30)
+
+        def worker():
+            barrier.wait()
+            return store.duration(GameId.CSGO, "v.rgbc")
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(worker) for _ in range(2)]
+            durations = [f.result(timeout=30) for f in futures]
+        assert durations[0] == durations[1]
+        assert len(reads) == 1
+
     def test_non_rgbc_without_decoder_raises(self, tmp_path):
         folder = tmp_path / "CSGO"
         folder.mkdir()
@@ -211,8 +239,10 @@ class TestClipStore:
             store.raw_second(GameId.CSGO, "v.mp4", 0.0)
 
 
-DECODER_SCRIPT = """
+# the child imports the fragreel under test, installed or not
+DECODER_SCRIPT = f"""
 import sys
+sys.path.insert(0, {str(Path(frames.__file__).resolve().parents[1])!r})
 import numpy as np
 from fractions import Fraction
 from fragreel.frames import RawClip, write_rgbc

@@ -313,7 +313,7 @@ class TestMaterializeExamples:
             ClipRef(f"clip{i}.rgbc", 0.5 + i * 0.25, labels[i], GameId.CSGO, "train")
             for i in range(5)
         ]
-        out = materialize_examples(entries, store, TrainConfig(workers=4))
+        out = materialize_examples(entries, store, jobs=4)
         assert len(out) == 5
         for entry, example in zip(entries, out):
             assert isinstance(example, TrainExample)
@@ -327,7 +327,7 @@ class TestMaterializeExamples:
         entries = [
             ClipRef(f"clip{i}.rgbc", 1.0, EventLabel.KILL, GameId.CSGO, "train") for i in range(3)
         ]
-        wide = materialize_examples(entries, store, TrainConfig(workers=4))
-        narrow = materialize_examples(entries, store, TrainConfig(workers=1))
+        wide = materialize_examples(entries, store, jobs=4)
+        narrow = materialize_examples(entries, store, jobs=1)
         for a, b in zip(wide, narrow):
             np.testing.assert_array_equal(a.clip, b.clip)
