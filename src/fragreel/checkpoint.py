@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import DataError, MalformedJson, ShapeMismatch
+from .errors import ConfigError, DataError, MalformedJson, ShapeMismatch
 from .params import ModelConfig, ModelParams, param_specs
 
 MAGIC_FP32 = b"XCKP1"
@@ -126,6 +126,13 @@ def _check_against_config(config: ModelConfig, arrays: dict[str, np.ndarray], pa
             raise ShapeMismatch(f"{path}: tensor {name!r} shape {arr.shape} != {expected[name]}")
 
 
+def _header_config(header: dict, path) -> ModelConfig:
+    try:
+        return ModelConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: bad model config in header: {exc!r}") from exc
+
+
 def save_checkpoint(path, params: ModelParams, epoch: int, val_accuracy: float | None) -> None:
     header = {
         "config": params.config.to_dict(),
@@ -139,7 +146,7 @@ def save_checkpoint(path, params: ModelParams, epoch: int, val_accuracy: float |
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     header, arrays = read_container(path, MAGIC_FP32)
-    config = ModelConfig.from_dict(header["config"])
+    config = _header_config(header, path)
     _check_against_config(config, arrays, path)
     tensors = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
     params = ModelParams(config, tensors, text_version=int(header.get("text_version", 0)))
@@ -170,7 +177,7 @@ def save_quantized(
 def load_quantized(path) -> tuple[ModelParams, dict[str, float], dict]:
     """Load a quantized checkpoint as dequantized float32 inference params."""
     header, arrays = read_container(path, MAGIC_QUANT)
-    config = ModelConfig.from_dict(header["config"])
+    config = _header_config(header, path)
     _check_against_config(config, arrays, path)
     tensors: dict[str, Tensor] = {}
     for name, arr in arrays.items():

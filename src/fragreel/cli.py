@@ -103,17 +103,28 @@ class SessionClips:
     """Whole-second clip tensors of one video, fetched on demand."""
 
     def __init__(self, store: ClipStore, game: GameId, video: str, seconds: int):
-        self._store = store
-        self._game = game
-        self._video = video
+        self._second = store.seconds(game, video)
+        self._preprocess = store.preprocess
         self._seconds = seconds
 
     def __len__(self) -> int:
         return self._seconds
 
     def __getitem__(self, i: int) -> np.ndarray:
-        raw = self._store.raw_second(self._game, self._video, float(i))
-        return preprocess_clip(raw, self._store.preprocess).data
+        return preprocess_clip(self._second(float(i)), self._preprocess).data
+
+
+def _session(args, run: RunConfig):
+    """Model, activation qctx, prompt set and the clips of ``args.video``."""
+    game = parse_game(args.game)
+    params, qctx = _load_model(args.checkpoint)
+    store = _store(run)
+    duration = store.duration(game, args.video)
+    seconds = int(duration) if args.seconds is None else min(args.seconds, int(duration))
+    if seconds < 1:
+        raise EmptyInput(f"{args.video}: no whole second to classify")
+    prompt_set = prompt_set_for(game, _catalogue(run))
+    return params, qctx, prompt_set, SessionClips(store, game, args.video, seconds)
 
 
 def cmd_sample_background(args, run: RunConfig) -> int:
@@ -228,15 +239,8 @@ def cmd_quantize(args, run: RunConfig) -> int:
 
 
 def cmd_detect(args, run: RunConfig) -> int:
-    game = parse_game(args.game)
-    params, qctx = _load_model(args.checkpoint)
-    store = _store(run)
-    duration = store.duration(game, args.video)
-    seconds = int(duration) if args.seconds is None else min(args.seconds, int(duration))
-    if seconds < 1:
-        raise EmptyInput(f"{args.video}: no whole second to classify")
-    prompt_set = prompt_set_for(game, _catalogue(run))
-    clips = SessionClips(store, game, args.video, seconds)
+    params, qctx, prompt_set, clips = _session(args, run)
+    seconds = len(clips)
     workers, per_worker = worker_plan(run.jobs, seconds)
     logger.info("detect: %d seconds on %d workers, %s BLAS threads each",
                 seconds, workers, per_worker)
@@ -324,15 +328,8 @@ def _run_cutter(run: RunConfig, edl: HighlightEdl, cut_dir: str) -> None:
 
 
 def cmd_bench(args, run: RunConfig) -> int:
-    game = parse_game(args.game)
-    params, qctx = _load_model(args.checkpoint)
-    store = _store(run)
-    duration = store.duration(game, args.video)
-    seconds = int(duration) if args.seconds is None else min(args.seconds, int(duration))
-    if seconds < 1:
-        raise EmptyInput(f"{args.video}: session is empty")
-    prompt_set = prompt_set_for(game, _catalogue(run))
-    clips = SessionClips(store, game, args.video, seconds)
+    params, qctx, prompt_set, clips = _session(args, run)
+    seconds = len(clips)
 
     def run_pass(count: int) -> tuple[list[float], int]:
         cache = PromptCache()

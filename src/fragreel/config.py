@@ -84,37 +84,20 @@ _SECTION_TYPES = {
 }
 
 
-def _build_section(cls, payload, where: str):
+def _build_section(cls, payload, where: str, **defaults):
     if not isinstance(payload, dict):
         raise ConfigError(f"{where}: expected an object")
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(payload) - allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
-    kwargs = {}
+    kwargs = dict(defaults)
     for key, value in payload.items():
         if isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _build_train(payload, root_seed: int, where: str) -> TrainConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{where}: expected an object")
-    allowed = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    kwargs = dict(payload)
-    if "freeze" in kwargs:
-        kwargs["freeze"] = frozenset(kwargs["freeze"])
-    kwargs.setdefault("seed", root_seed)
-    try:
-        return TrainConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -156,10 +139,7 @@ def load_run_config(path: str | None = None, overrides: dict | None = None) -> R
     for name, cls in _SECTION_TYPES.items():
         if name in payload:
             kwargs[name] = _build_section(cls, payload[name], f"config.{name}")
-    if "train" in payload:
-        kwargs["train"] = _build_train(payload["train"], seed, "config.train")
-    else:
-        kwargs["train"] = TrainConfig(seed=seed)
+    kwargs["train"] = _build_section(TrainConfig, payload.get("train", {}), "config.train", seed=seed)
     try:
         return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:

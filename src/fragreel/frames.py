@@ -9,13 +9,17 @@ normalizes each channel on the 0-255 scale.
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
 import shlex
 import struct
 import subprocess
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -87,26 +91,41 @@ def write_rgbc(clip: RawClip) -> bytes:
     return header + clip.frames.tobytes()
 
 
-def read_rgbc(blob: bytes) -> RawClip:
-    if len(blob) < 24 or blob[:4] != RGBC_MAGIC:
+def _rgbc_header(head: bytes) -> tuple[tuple[int, int, int, int], Fraction]:
+    """Frame shape (F, H, W, 3) and frame rate from the 24-byte header."""
+    if len(head) < 24 or head[:4] != RGBC_MAGIC:
         raise MalformedJson("not an RGBC stream")
-    width, height, count, fps_num, fps_den = struct.unpack("<5I", blob[4:24])
+    width, height, count, fps_num, fps_den = struct.unpack("<5I", head[4:24])
     if width == 0 or height == 0:
         raise ZeroDimension("RGBC header declares a zero dimension")
     if fps_den == 0 or fps_num == 0:
         raise MalformedJson("RGBC header declares a zero frame rate")
-    expected = 24 + count * width * height * 3
+    return (count, height, width, 3), Fraction(fps_num, fps_den)
+
+
+def read_rgbc(blob: bytes) -> RawClip:
+    """A clip over the frames of ``blob`` (read-only, no copy)."""
+    shape, fps = _rgbc_header(blob)
+    expected = 24 + math.prod(shape)
     if len(blob) < expected:
         raise MalformedJson(
             f"RGBC stream truncated: {len(blob)} bytes, expected {expected}"
         )
-    frames = np.frombuffer(blob[24:expected], dtype=np.uint8)
-    frames = frames.reshape(count, height, width, 3).copy()
-    return RawClip(frames=frames, fps=Fraction(fps_num, fps_den))
+    frames = np.frombuffer(blob, np.uint8, expected - 24, offset=24).reshape(shape)
+    return RawClip(frames=frames, fps=fps)
 
 
 def read_rgbc_file(path: str | Path) -> RawClip:
-    return read_rgbc(Path(path).read_bytes())
+    """A clip over a read-only map of the file; frames are paged in when read."""
+    with open(path, "rb") as fh:
+        shape, fps = _rgbc_header(fh.read(24))
+        size = os.fstat(fh.fileno()).st_size
+        expected = 24 + math.prod(shape)
+        if size != expected:
+            raise MalformedJson(f"{path}: RGBC header implies {expected} bytes, file has {size}")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    frames = np.frombuffer(mapped, np.uint8, expected - 24, offset=24).reshape(shape)
+    return RawClip(frames=frames, fps=fps)
 
 
 def extract_second(clip: RawClip, start_s: float) -> RawClip:
@@ -215,17 +234,13 @@ class DecoderSource:
 class ClipStore:
     """Resolves manifest clip references to preprocessed tensors.
 
-    Videos live under ``data_root/<game>/<video>``; ".rgbc" files are read
-    directly and anything else needs the external decoder. Whole-file reads
-    are cached, keyed by path, since training revisits the same videos.
+    Videos live under ``data_root/<game>/<video>``; ".rgbc" files are mapped
+    read-only and anything else needs the external decoder.
     """
 
     data_root: Path
     preprocess: PreprocessConfig
     decoder: DecoderSource | None = None
-    cache_files: int = 8
-    _cache: dict[Path, RawClip] = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def resolve(self, game: GameId, video: str) -> Path:
         base = Path(self.data_root) / game.value
@@ -236,33 +251,29 @@ class ClipStore:
         raise DataResolutionError(f"no video file for {game.value}/{video} under {self.data_root}")
 
     def _load(self, path: Path) -> RawClip:
-        # held across miss, read and insert, so concurrent misses on one
-        # path read it once
-        with self._lock:
-            cached = self._cache.get(path)
-            if cached is not None:
-                return cached
-            if path.suffix == ".rgbc":
-                clip = read_rgbc_file(path)
-            elif self.decoder is not None:
-                raise DataResolutionError(
-                    f"{path} is not .rgbc; decode windows via raw_second instead"
-                )
-            else:
-                raise DataResolutionError(f"{path} is not .rgbc and no decoder is configured")
-            if len(self._cache) >= self.cache_files:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[path] = clip
-            return clip
+        if path.suffix == ".rgbc":
+            return read_rgbc_file(path)
+        if self.decoder is not None:
+            raise DataResolutionError(f"{path} is not .rgbc; decode windows via raw_second instead")
+        raise DataResolutionError(f"{path} is not .rgbc and no decoder is configured")
 
     def duration(self, game: GameId, video: str) -> float:
         return self._load(self.resolve(game, video)).duration_s
 
-    def raw_second(self, game: GameId, video: str, start_s: float) -> RawClip:
+    def seconds(self, game: GameId, video: str) -> Callable[[float], RawClip]:
+        """The one-second window at ``start_s`` of one video, as a function.
+
+        An ".rgbc" file is mapped once, here, and the map lives as long as
+        the returned function.
+        """
         path = self.resolve(game, video)
         if path.suffix != ".rgbc" and self.decoder is not None:
-            return self.decoder.fetch(path, start_s, 1.0)
-        return extract_second(self._load(path), start_s)
+            return lambda start_s: self.decoder.fetch(path, start_s, 1.0)
+        clip = self._load(path)
+        return lambda start_s: extract_second(clip, start_s)
+
+    def raw_second(self, game: GameId, video: str, start_s: float) -> RawClip:
+        return self.seconds(game, video)(start_s)
 
     def clip_tensor(self, ref: ClipRef) -> ClipTensor:
         raw = self.raw_second(ref.game, ref.video, ref.clip_start_s)

@@ -29,6 +29,22 @@ def params():
     return ModelParams.init(toy_model_config(), seed=7)
 
 
+def rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to the JSON header of a checkpoint, keeping its payload."""
+    blob = path.read_bytes()
+    hlen = struct.unpack_from("<I", blob, 9)[0]
+    header = json.loads(blob[13 : 13 + hlen])
+    edit(header)
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:9] + struct.pack("<I", len(new_header)) + new_header + blob[13 + hlen:])
+
+
+BAD_CONFIG_EDITS = pytest.mark.parametrize("edit", [
+    lambda h: h["config"]["encoder"].update(n_experts=4),
+    lambda h: h.pop("config"),
+], ids=["unknown_key", "missing_config"])
+
+
 class TestContainer:
     def test_round_trip_preserves_arrays(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -124,15 +140,17 @@ class TestModelCheckpoints:
     def test_mismatched_config_rejected(self, tmp_path, params):
         path = tmp_path / "m.xckp"
         save_checkpoint(path, params, epoch=0, val_accuracy=None)
-        header, arrays = read_container(path, MAGIC_FP32)
-        del arrays  # tamper: claim a deeper config than the tensors provide
-        header["config"]["encoder"]["n_cct_layers"] = 2
-        blob = path.read_bytes()
-        hlen = struct.unpack_from("<I", blob, 9)[0]
-        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(blob[:5] + struct.pack("<I", 1) + struct.pack("<I", len(new_header))
-                         + new_header + blob[13 + hlen:])
-        with pytest.raises((DataError, ShapeMismatch)):
+        # tamper: claim a deeper config than the tensors provide
+        rewrite_header(path, lambda h: h["config"]["encoder"].update(n_cct_layers=2))
+        with pytest.raises((DataError, ShapeMismatch), match="do not match config"):
+            load_checkpoint(path)
+
+    @BAD_CONFIG_EDITS
+    def test_bad_config_is_data_error(self, tmp_path, params, edit):
+        path = tmp_path / "m.xckp"
+        save_checkpoint(path, params, epoch=0, val_accuracy=None)
+        rewrite_header(path, edit)
+        with pytest.raises(DataError, match="m.xckp"):
             load_checkpoint(path)
 
     def test_fp32_payload_size(self, tmp_path, params):
@@ -164,6 +182,18 @@ class TestQuantizedCheckpoints:
             np.testing.assert_allclose(
                 loaded[name].data, q.astype(np.float32) * np.float32(scale), atol=0
             )
+
+    @BAD_CONFIG_EDITS
+    def test_bad_config_is_data_error(self, tmp_path, params, edit):
+        qtensors = {
+            name: (np.zeros(params[name].shape, dtype=np.int8), 1.0)
+            for name in params.names()
+        }
+        path = tmp_path / "m.xckq"
+        save_quantized(path, params.config, qtensors, {}, 0, None, 0)
+        rewrite_header(path, edit)
+        with pytest.raises(DataError, match="m.xckq"):
+            load_quantized(path)
 
     def test_quantized_payload_is_one_byte_per_weight(self, tmp_path, params):
         qtensors = {

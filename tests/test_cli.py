@@ -337,6 +337,21 @@ class TestExitCodes:
         ])
         assert rc == 3
 
+    def test_lying_rgbc_header_is_data_error(self, env, tmp_path):
+        game_dir = tmp_path / "data" / GAME
+        game_dir.mkdir(parents=True)
+        frames = np.zeros((8, 6, 6, 3), dtype=np.uint8)
+        blob = write_rgbc(RawClip(frames=frames, fps=Fraction(2)))
+        # the header claims 9 frames, the payload holds 8
+        (game_dir / "liar.rgbc").write_bytes(blob[:12] + (9).to_bytes(4, "little") + blob[16:])
+        rc = run_cli([
+            "detect", "--config", env["config"], "--data-root", tmp_path / "data",
+            "--checkpoint", env["artifacts"]["checkpoint"],
+            "--game", GAME, "--video", "liar.rgbc", "--out", tmp_path / "x",
+        ])
+        assert rc == 3
+        assert not (tmp_path / "x").exists()
+
     def test_zero_second_session_is_data_error(self, env, tmp_path):
         rc = run_cli([
             "detect", "--config", env["config"],

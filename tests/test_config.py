@@ -130,6 +130,14 @@ class TestLoadRunConfig:
         run = load_run_config(write_config(tmp_path, payload))
         assert run.train.freeze == frozenset({"text_encoder"})
 
+    def test_non_iterable_freeze_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="config.train"):
+            load_run_config(write_config(tmp_path, {"train": {"freeze": 5}}))
+
+    def test_non_object_train_section_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="config.train: expected an object"):
+            load_run_config(write_config(tmp_path, {"train": [1]}))
+
     def test_sampler_and_quantizer_sections(self, tmp_path):
         payload = {"sampler": {"max_retries": 5}, "quantizer": {"calib_count": 3}}
         run = load_run_config(write_config(tmp_path, payload))

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import struct
 import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,16 +65,22 @@ class TestRgbcContainer:
             read_rgbc(blob[:-1])
 
     def test_zero_dimension_raises(self):
-        import struct
         blob = b"RGBC" + struct.pack("<5I", 0, 4, 1, 4, 1)
         with pytest.raises(ZeroDimension):
             read_rgbc(blob)
 
     def test_zero_fps_raises(self):
-        import struct
         blob = b"RGBC" + struct.pack("<5I", 2, 2, 0, 0, 1)
         with pytest.raises(MalformedJson):
             read_rgbc(blob)
+
+    @pytest.mark.parametrize("extra_frames", [1, -1])
+    def test_file_header_must_match_file_size(self, tmp_path, extra_frames):
+        blob = write_rgbc(random_clip(frames=8))
+        path = tmp_path / "v.rgbc"
+        path.write_bytes(blob[:12] + struct.pack("<I", 8 + extra_frames) + blob[16:])
+        with pytest.raises(MalformedJson, match="v.rgbc"):
+            read_rgbc_file(path)
 
     def test_non_uint8_frames_rejected(self):
         with pytest.raises(ValueError):
@@ -199,36 +204,36 @@ class TestClipStore:
         assert tensor.data.shape == (2, 4, 4, 3)
         assert tensor.provenance == ref
 
-    def test_whole_file_cache_hit(self, tmp_path):
-        self.write_video(tmp_path)
+    def test_seconds_match_a_whole_read(self, tmp_path):
+        clip = self.write_video(tmp_path, frames=18)  # 4.5 s at 4 fps
+        whole = read_rgbc((tmp_path / "CSGO" / "v.rgbc").read_bytes())
+        second = self.store(tmp_path).seconds(GameId.CSGO, "v")
+        for start_s in [-2.0, -0.5, *np.arange(0.0, 7.0, 0.5)]:  # both ends clamp
+            got, want = second(start_s), extract_second(whole, start_s)
+            np.testing.assert_array_equal(got.frames, want.frames)
+            assert got.fps == want.fps == clip.fps
+
+    def test_sparse_session_is_not_read_whole(self, tmp_path):
+        # 1360 frames of 128x128 at 30 fps: about 64 MB, all holes on disk
+        folder = tmp_path / "CSGO"
+        folder.mkdir()
+        with open(folder / "big.rgbc", "wb") as fh:
+            fh.write(b"RGBC" + struct.pack("<5I", 128, 128, 1360, 30, 1))
+            fh.truncate(24 + 1360 * 128 * 128 * 3)
         store = self.store(tmp_path)
-        first = store._load(store.resolve(GameId.CSGO, "v"))
-        second = store._load(store.resolve(GameId.CSGO, "v"))
-        assert first is second
-
-    def test_concurrent_misses_read_the_file_once(self, tmp_path, monkeypatch):
-        self.write_video(tmp_path)
-        store = self.store(tmp_path)
-        reads = []
-        real_read = frames.read_rgbc_file
-
-        def slow_read(path):
-            reads.append(path)
-            time.sleep(0.05)  # both workers are past the lookup by now
-            return real_read(path)
-
-        monkeypatch.setattr(frames, "read_rgbc_file", slow_read)
-        barrier = threading.Barrier(2, timeout=30)
-
-        def worker():
-            barrier.wait()
-            return store.duration(GameId.CSGO, "v.rgbc")
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(worker) for _ in range(2)]
-            durations = [f.result(timeout=30) for f in futures]
-        assert durations[0] == durations[1]
-        assert len(reads) == 1
+        tracemalloc.start()
+        try:
+            duration = store.duration(GameId.CSGO, "big")
+            first = store.raw_second(GameId.CSGO, "big", 0.0)
+            last = store.raw_second(GameId.CSGO, "big", duration - 1.0)
+            touched = first.frames.any() or last.frames.any()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert duration == 1360 / 30
+        assert first.frames.shape == last.frames.shape == (30, 128, 128, 3)
+        assert not touched
+        assert peak < 4 * 2**20
 
     def test_non_rgbc_without_decoder_raises(self, tmp_path):
         folder = tmp_path / "CSGO"
