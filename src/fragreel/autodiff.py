@@ -219,10 +219,26 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
+def _is_basic_index(index) -> bool:
+    """Ints, slices, None and Ellipsis (alone or in a tuple): numpy's basic
+    indexing, which selects each element at most once."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        part is None or part is Ellipsis or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts
+    )
+
+
 def getitem(a: Tensor, index) -> Tensor:
+    basic = _is_basic_index(index)
+
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, index, g)
+        if basic:  # no duplicates, so a plain add into the view is exact
+            full[index] += g
+        else:  # advanced indices may repeat an element: accumulate each use
+            np.add.at(full, index, g)
         return (full,)
 
     return _make(a.data[index], (a,), backward)

@@ -6,7 +6,10 @@ raw tensor payload. The header carries the model config, training metadata
 (epoch, validation accuracy, text version stamp) and a tensor index mapping
 each name to dtype, shape, and byte offset into the payload. Tensors are
 serialized little-endian in sorted-name order, so a rerun with identical
-state produces byte-identical files.
+state produces byte-identical files. On load every index entry is checked
+(known dtype, non-negative int shape and offset, inside the payload, no
+overlap with another tensor, and for int8 files a finite positive scale);
+a failed check is a DataError naming the file and the tensor.
 
 "XCKP1" stores float32 tensors. "XCKQ1" stores every tensor as int8 with a
 per-tensor symmetric scale in the index entry, plus calibrated activation
@@ -19,6 +22,7 @@ which could not affect any output; version-1 files are rejected.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -100,19 +104,55 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         raise MalformedJson(f"{path}: bad checkpoint header: {exc}") from exc
     pos += hlen
     payload = data[pos:]
-    arrays: dict[str, np.ndarray] = {}
+    if not isinstance(header, dict) or not isinstance(header.get("tensors", {}), dict):
+        raise MalformedJson(f"{path}: checkpoint header has no tensor index")
+    spans = []
     for name, entry in header.get("tensors", {}).items():
-        dtype = _CODE_TO_DTYPE.get(entry["dtype"])
-        if dtype is None:
-            raise DataError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + count * dtype.itemsize
-        if end > len(payload):
-            raise DataError(f"{path}: tensor {name!r} overruns payload")
-        arrays[name] = np.frombuffer(payload[start:end], dtype=dtype).reshape(shape).copy()
+        start, end, shape, dtype = _index_span(path, name, entry, len(payload),
+                                               quantized=magic == MAGIC_QUANT)
+        spans.append((start, end, name, shape, dtype))
+    spans.sort()
+    for (_, prev_end, prev, *_), (start, _, name, *_) in zip(spans, spans[1:]):
+        if start < prev_end:
+            raise DataError(f"{path}: tensor {name!r} overlaps tensor {prev!r}")
+    arrays = {
+        name: np.frombuffer(payload[start:end], dtype=dtype).reshape(shape).copy()
+        for start, end, name, shape, dtype in spans
+    }
     return header, arrays
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _index_span(path, name: str, entry, payload_len: int, quantized: bool):
+    """(start, end, shape, dtype) of one tensor index entry, checked against
+    the payload: any failed check is a DataError naming the tensor."""
+    def bad(what: str) -> DataError:
+        return DataError(f"{path}: tensor {name!r} {what}")
+
+    if not isinstance(entry, dict):
+        raise bad("has no index entry")
+    code = entry.get("dtype")
+    dtype = _CODE_TO_DTYPE.get(code) if isinstance(code, str) else None
+    if dtype is None:
+        raise bad(f"has unknown dtype {code!r}")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(_is_int(n) and n >= 0 for n in shape):
+        raise bad(f"has bad shape {shape!r}")
+    start = entry.get("offset")
+    if not _is_int(start) or start < 0:
+        raise bad(f"has bad offset {start!r}")
+    if quantized:
+        scale = entry.get("scale")
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)) \
+                or not (math.isfinite(scale) and scale > 0.0):
+            raise bad(f"has bad scale {scale!r}")
+    end = start + math.prod(shape) * dtype.itemsize
+    if end > payload_len:
+        raise bad("overruns payload")
+    return start, end, tuple(shape), dtype
 
 
 def _check_against_config(config: ModelConfig, arrays: dict[str, np.ndarray], path) -> None:

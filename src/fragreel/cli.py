@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import resource
 import shlex
 import subprocess
 import sys
@@ -359,6 +360,7 @@ def cmd_bench(args, run: RunConfig) -> int:
         "latency_max_s": max(latencies),
         "latencies_s": latencies,
         "blas_threads": blas_threads(),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # Linux: KiB
     }
     text = json.dumps(report, sort_keys=True) + "\n"
     if args.out:

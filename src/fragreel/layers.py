@@ -5,6 +5,15 @@ it observes or fake-quantizes the activations entering every matmul: the
 input of each linear layer and both operands of the two attention matmuls.
 Site names are derived from parameter prefixes so calibration and simulated
 inference visit identical sites.
+
+The context protocol is one method and one optional property:
+
+- ``process(site, data) -> data``: called once per site per forward pass.
+- ``needs_all_rows``: the last layer of each encoder normally computes only
+  the rows its output reads (the class tokens, the EOS rows). A context
+  that sets this true sees every row instead. Calibration sets it, because
+  its per-site maxima are taken over every row; fake-quantization does not
+  need it, because it is elementwise with a fixed scale per site.
 """
 
 from __future__ import annotations
@@ -36,6 +45,11 @@ def qpass(qctx, site: str, t: Tensor) -> Tensor:
             f"site {site}: fake-quantized activations cannot carry gradients"
         )
     return Tensor(data)
+
+
+def prunes_rows(qctx) -> bool:
+    """Whether the encoders may skip rows that their output does not read."""
+    return not getattr(qctx, "needs_all_rows", False)
 
 
 def linear(x: Tensor, params, prefix: str, qctx=None) -> Tensor:

@@ -31,6 +31,17 @@ GROUP_OF_PREFIX = {
 }
 
 
+def _check_sizes(cfg, positive: tuple[str, ...], counts: tuple[str, ...]) -> None:
+    """Widths, head counts and frame sizes must be positive; layer and block
+    counts may be zero but not negative."""
+    for name in positive:
+        if getattr(cfg, name) <= 0:
+            raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)!r}")
+    for name in counts:
+        if getattr(cfg, name) < 0:
+            raise ConfigError(f"{name} must be non-negative, got {getattr(cfg, name)!r}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     t_frames: int = 32
@@ -43,6 +54,8 @@ class EncoderConfig:
     d_ffn: int = 3072
 
     def __post_init__(self):
+        _check_sizes(self, positive=("t_frames", "side", "patch", "d_model", "n_heads", "d_ffn"),
+                     counts=("n_cct_layers", "n_mit_layers"))
         if self.side % self.patch != 0:
             raise ConfigError(f"side {self.side} not divisible by patch {self.patch}")
         if self.d_model % self.n_heads != 0:
@@ -72,6 +85,8 @@ class TextConfig:
     alpha: float = 0.1  # blend weight of the prompting residual
 
     def __post_init__(self):
+        _check_sizes(self, positive=("d_text", "n_heads", "d_ffn", "prompt_heads"),
+                     counts=("n_layers", "prompt_blocks"))
         if self.d_text % self.n_heads != 0:
             raise ConfigError(f"d_text {self.d_text} not divisible by n_heads {self.n_heads}")
 

@@ -53,8 +53,12 @@ def fake_quant(x: np.ndarray, scale: float) -> np.ndarray:
 class ActRecorder:
     """Calibration context: accumulates max|x| per activation site.
 
-    Mutates its accumulators, so calibration needs exclusive access.
+    Mutates its accumulators, so calibration needs exclusive access. Asks
+    the encoders for every row, so the maxima do not depend on which rows
+    their outputs read.
     """
+
+    needs_all_rows = True
 
     def __init__(self):
         self.max_abs: dict[str, float] = {}

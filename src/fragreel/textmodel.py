@@ -25,7 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from .autodiff import Tensor, clip, concat, matmul, no_grad, power, reshape, softmax, sum_
+from .autodiff import Tensor, clip, matmul, no_grad, power, reshape, softmax, sum_
 from .catalogue import EventLabel, GameId, events_for, parse_game, parse_label
 from .errors import (
     ConfigError,
@@ -34,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     TooLong,
 )
-from .layers import ffn, layer_norm, linear, mhsa, qpass
+from .layers import ffn, layer_norm, linear, mhsa, prunes_rows, qpass
 from .params import CONTEXT_LENGTH, VOCAB_SIZE, ModelParams
 
 BOS = 256
@@ -148,23 +148,45 @@ def prompt_set_for(
 
 
 def encode_text(tokens, params: ModelParams, qctx=None) -> Tensor:
-    """Token ids (length 77) -> base embedding c of width d."""
+    """Token ids (77,) or (K, 77) -> base embeddings c, (d,) or (K, d).
+
+    The K prompts run as one batch. Only each prompt's EOS row of the last
+    layer is read, so that layer computes only those rows (unless the
+    quantization context needs every row); its keys and values still cover
+    the whole context, so the result is exact.
+    """
     cfg = params.config.text
     ids = np.asarray(tokens)
-    if ids.shape != (CONTEXT_LENGTH,):
-        raise ShapeMismatch(f"token sequence shape {ids.shape} != ({CONTEXT_LENGTH},)")
+    if ids.ndim not in (1, 2) or ids.shape[-1] != CONTEXT_LENGTH or ids.size == 0:
+        raise ShapeMismatch(f"token ids shape {ids.shape} is not (77,) or (K, 77), K > 0")
     if ids.min() < 0 or ids.max() >= VOCAB_SIZE:
         raise ShapeMismatch("token id out of range")
-    x = params["text.tok_embed"][ids] + params["text.pos"]
+    batch = ids.reshape(-1, CONTEXT_LENGTH)
+    is_eos = batch == EOS
+    if not is_eos.any(axis=1).all():
+        raise ShapeMismatch("token sequence has no EOS")
+    k = batch.shape[0]
+    eos_rows = (np.arange(k)[:, None], is_eos.argmax(axis=1)[:, None])  # first EOS, (K, 1)
+
+    x = params["text.tok_embed"][batch] + params["text.pos"]  # (K, 77, d_text)
+    pruned = cfg.n_layers - 1 if prunes_rows(qctx) else -1  # -1: no layer is pruned
     for i in range(cfg.n_layers):
         pf = f"text.layers.{i}"
         normed = layer_norm(x, params, f"{pf}.ln_attn")
-        x = x + mhsa(normed, normed, params, f"{pf}.attn", cfg.n_heads, qctx)
+        query = normed
+        if i == pruned:
+            x, query = x[eos_rows], normed[eos_rows]
+        x = x + mhsa(query, normed, params, f"{pf}.attn", cfg.n_heads, qctx)
         x = x + ffn(layer_norm(x, params, f"{pf}.ln_ffn"), params, f"{pf}.ffn", qctx)
-    eos_pos = int(np.nonzero(ids == EOS)[0][0])
-    state = reshape(x[eos_pos], (1, cfg.d_text))
-    c = matmul(state, params["text.proj"])
-    return reshape(c, (params.config.encoder.d_model,))
+    if pruned < 0:
+        x = x[eos_rows]
+    c = matmul(reshape(x, (k, cfg.d_text)), params["text.proj"])
+    return c if ids.ndim == 2 else reshape(c, (params.config.encoder.d_model,))
+
+
+def prompt_ids(prompt_set: PromptSet) -> np.ndarray:
+    """Token ids (K, 77) of a prompt set's rendered prompts, in prompt order."""
+    return np.array([tokenize(p.rendered) for p in prompt_set.prompts])
 
 
 def video_prompt(c: Tensor, v: Tensor, params: ModelParams, qctx=None) -> Tensor:
@@ -195,7 +217,7 @@ class PromptCache:
         self._lock = threading.RLock()  # reentrant: fetch calls lookup under it
         self.hits = 0
         self.misses = 0
-        self.encode_calls = 0  # encode_text invocations made to fill the cache
+        self.encode_calls = 0  # prompt rows encoded to fill the cache
 
     @staticmethod
     def fingerprint(prompt_set: PromptSet, text_version: int) -> str:
@@ -223,7 +245,7 @@ class PromptCache:
                 found = fill()
                 found.setflags(write=False)
                 self._store[key] = found
-                self.encode_calls += len(found)  # one encode per prompt row
+                self.encode_calls += len(found)
             return found
 
 
@@ -239,8 +261,7 @@ def base_embeddings(
 
     def encode() -> np.ndarray:
         with no_grad():
-            return np.stack([encode_text(tokenize(p.rendered), params, qctx).data
-                             for p in prompt_set.prompts])
+            return encode_text(prompt_ids(prompt_set), params, qctx).data
 
     if cache is None:
         return encode()
@@ -280,8 +301,7 @@ def classification_logits(
         return full[np.asarray(cols)]
 
     if text_grad:
-        rows = [encode_text(tokenize(p.rendered), params, qctx) for p in prompt_set.prompts]
-        c = concat([reshape(row, (1, row.shape[0])) for row in rows], axis=0)
+        c = encode_text(prompt_ids(prompt_set), params, qctx)
     else:
         c = Tensor(base_embeddings(prompt_set, params, cache, qctx))
     c_bar = video_prompt(c, v, params, qctx)

@@ -13,6 +13,11 @@ A clip tensor (T, side, side, 3) becomes one embedding of width d_model:
 3. The final class tokens, offset by a temporal position table, pass through
    a small temporal transformer and are averaged over time.
 
+Only the class tokens of the last layer are read, so that layer computes
+just those rows (unless the quantization context needs every row; see
+``layers``). Its keys and values still cover every token, so the pruned
+result is exact.
+
 Setting every attention and feed-forward output projection to zero turns
 each layer into the identity on frame tokens, which tests rely on.
 """
@@ -24,7 +29,7 @@ import numpy as np
 from .autodiff import Tensor, assert_finite, concat, matmul, mean, reshape
 from .errors import ShapeMismatch
 from .frames import ClipTensor
-from .layers import ffn, layer_norm, linear, mhsa, qpass
+from .layers import ffn, layer_norm, linear, mhsa, prunes_rows, qpass
 from .params import EncoderConfig, ModelParams
 
 
@@ -56,8 +61,13 @@ def embed_frames(patches: Tensor | np.ndarray, params: ModelParams, cfg: Encoder
     return z + params["video.pos"]
 
 
-def cct_layer(z: Tensor, params: ModelParams, cfg: EncoderConfig, index: int, qctx=None) -> Tensor:
-    """One cross-frame communication layer over (T, N+1, d)."""
+def cct_layer(z: Tensor, params: ModelParams, cfg: EncoderConfig, index: int, qctx=None,
+              cls_only: bool = False) -> Tensor:
+    """One cross-frame communication layer over (T, N+1, d).
+
+    With ``cls_only`` the layer returns only the class-token rows, (T, 1, d):
+    their queries still attend over every token, so those rows are exact.
+    """
     pf = f"video.cct.{index}"
     t = z.shape[0]
 
@@ -67,8 +77,13 @@ def cct_layer(z: Tensor, params: ModelParams, cfg: EncoderConfig, index: int, qc
 
     tokens = concat([z, reshape(msgs, (t, 1, cfg.d_model))], axis=1)  # (T, N+2, d)
     normed = layer_norm(tokens, params, f"{pf}.ln_attn")
-    attended = tokens + mhsa(normed, normed, params, f"{pf}.ifa", cfg.n_heads, qctx)
-    frame_tokens = attended[:, : cfg.n_patches + 1]  # attended message token dropped
+    if cls_only:
+        frame_tokens = tokens[:, :1] + mhsa(
+            normed[:, :1], normed, params, f"{pf}.ifa", cfg.n_heads, qctx
+        )
+    else:
+        attended = tokens + mhsa(normed, normed, params, f"{pf}.ifa", cfg.n_heads, qctx)
+        frame_tokens = attended[:, : cfg.n_patches + 1]  # attended message token dropped
 
     return frame_tokens + ffn(
         layer_norm(frame_tokens, params, f"{pf}.ln_ffn"), params, f"{pf}.ffn", qctx
@@ -99,8 +114,9 @@ def encode_video(clip, params: ModelParams, qctx=None) -> Tensor:
     patches = extract_patches(data.astype(dtype, copy=False), cfg.patch)
 
     z = embed_frames(patches, params, cfg, qctx)
+    pruned = cfg.n_cct_layers - 1 if prunes_rows(qctx) else -1  # -1: no layer is pruned
     for i in range(cfg.n_cct_layers):
-        z = cct_layer(z, params, cfg, i, qctx)
+        z = cct_layer(z, params, cfg, i, qctx, cls_only=i == pruned)
     v = mit_pool(z[:, 0], params, cfg, qctx)
     assert_finite(v, "video embedding")
     return v

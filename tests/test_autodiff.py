@@ -12,6 +12,7 @@ import pytest
 
 from fragreel.autodiff import (
     Tensor,
+    _is_basic_index,
     assert_finite,
     clip,
     concat,
@@ -124,6 +125,71 @@ class TestShapeGrads:
 
     def test_concat(self):
         check_op(lambda a, b: concat([a, b], axis=1), (2, 3), (2, 2))
+
+
+def random_basic_index(rng, shape):
+    """A random tuple of ints, slices (any step sign), None and Ellipsis."""
+    parts = []
+    for n in shape:
+        kind = rng.integers(3)
+        if kind == 0:
+            parts.append(int(rng.integers(-n, n)))
+        elif kind == 1:
+            step = int(rng.choice([-2, -1, 1, 2, 3]))
+            parts.append(slice(int(rng.integers(-n, n)), int(rng.integers(-n - 1, n + 1)), step))
+        else:
+            parts.append(slice(None))
+    if rng.integers(2):
+        parts.insert(int(rng.integers(len(parts) + 1)), None)
+    if rng.integers(2):
+        parts = [Ellipsis, *parts[1:]]
+    return tuple(parts)
+
+
+def random_advanced_index(rng, shape, duplicates: bool):
+    rows = rng.integers(0, shape[0], size=6 if duplicates else 1)
+    if duplicates:
+        rows[1] = rows[0]  # at least one element is read twice
+    if rng.integers(2):
+        return rows
+    cols = rng.integers(0, shape[1], size=rows.shape)
+    return (rows[:, None], slice(1, None), cols[:, None]) if rng.integers(2) else (rows, cols)
+
+
+class TestGetitemBackward:
+    """getitem backward adds into a view for basic indices and uses np.add.at
+    for advanced ones; both must equal np.add.at byte for byte."""
+
+    SHAPE = (4, 5, 6)
+
+    def backward_of(self, index, rng):
+        a = Tensor(rng.normal(size=self.SHAPE), requires_grad=True)
+        out = a[index]
+        g = rng.normal(size=out.shape)
+        want = np.zeros(self.SHAPE)
+        np.add.at(want, index, g)
+        return out._backward(g)[0], want
+
+    def test_basic_indices(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            index = random_basic_index(rng, self.SHAPE)
+            assert _is_basic_index(index), index
+            got, want = self.backward_of(index, rng)
+            assert got.tobytes() == want.tobytes(), index
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_advanced_indices(self, duplicates):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            index = random_advanced_index(rng, self.SHAPE, duplicates)
+            assert not _is_basic_index(index), index
+            got, want = self.backward_of(index, rng)
+            assert got.tobytes() == want.tobytes(), index
+
+    def test_bools_are_not_basic(self):
+        assert not _is_basic_index(True)
+        assert not _is_basic_index((slice(None), np.array([True, False])))
 
 
 class TestReductionGrads:

@@ -45,6 +45,65 @@ BAD_CONFIG_EDITS = pytest.mark.parametrize("edit", [
 ], ids=["unknown_key", "missing_config"])
 
 
+# Each edit breaks one entry of the tensor index of a container holding
+# "x" (4 float32 at offset 0) and "y" (4 float32 at offset 16).
+BAD_INDEX_EDITS = pytest.mark.parametrize("edit, tensor, what", [
+    (lambda t: t["y"].pop("offset"), "y", "has bad offset None"),
+    (lambda t: t["y"].pop("dtype"), "y", "has unknown dtype None"),
+    (lambda t: t["y"].pop("shape"), "y", "has bad shape None"),
+    (lambda t: t["y"].update(offset=-32), "y", "has bad offset -32"),  # slices x from the end
+    (lambda t: t["y"].update(offset=8.0), "y", "has bad offset 8.0"),
+    (lambda t: t["y"].update(offset=True), "y", "has bad offset True"),
+    (lambda t: t["y"].update(offset=8), "y", "overlaps tensor 'x'"),
+    (lambda t: t["y"].update(shape=[-1, -4]), "y", r"has bad shape \[-1, -4\]"),
+    (lambda t: t["y"].update(shape=[2.0, 2]), "y", r"has bad shape \[2.0, 2\]"),
+    (lambda t: t.update(y=[0]), "y", "has no index entry"),
+], ids=["no_offset", "no_dtype", "no_shape", "negative_offset", "float_offset",
+        "bool_offset", "overlap", "negative_dims", "float_dims", "entry_not_object"])
+
+
+class TestTensorIndex:
+    def write(self, path, magic=MAGIC_FP32, extras=None, dtype=np.float32):
+        arrays = {"x": np.arange(4, dtype=dtype), "y": np.arange(4, 8, dtype=dtype)}
+        write_container(path, magic, {}, arrays, tensor_extras=extras)
+
+    @BAD_INDEX_EDITS
+    def test_bad_entry_is_data_error_naming_path_and_tensor(self, tmp_path, edit, tensor, what):
+        path = tmp_path / "c.bin"
+        self.write(path)
+        rewrite_header(path, lambda h: edit(h["tensors"]))
+        with pytest.raises(DataError, match=f"c.bin: tensor '{tensor}' {what}"):
+            read_container(path, MAGIC_FP32)
+
+    def test_adjacent_tensors_are_not_an_overlap(self, tmp_path):
+        path = tmp_path / "c.bin"
+        write_container(path, MAGIC_FP32, {}, {"a": np.zeros(0, dtype=np.float32),
+                                               "b": np.ones(2, dtype=np.float32)})
+        _, arrays = read_container(path, MAGIC_FP32)
+        assert arrays["a"].shape == (0,)
+        np.testing.assert_array_equal(arrays["b"], [1.0, 1.0])
+
+    @pytest.mark.parametrize("scale", [None, "0.5", True, 0.0, -0.5, float("inf")],
+                             ids=["missing", "string", "bool", "zero", "negative", "infinite"])
+    def test_quantized_entry_needs_a_positive_scale(self, tmp_path, scale):
+        path = tmp_path / "q.bin"
+        extras = {"x": {"scale": 0.5}, "y": {"scale": 0.25}}
+        self.write(path, MAGIC_QUANT, extras, dtype=np.int8)
+        if scale is None:
+            rewrite_header(path, lambda h: h["tensors"]["y"].pop("scale"))
+        else:
+            rewrite_header(path, lambda h: h["tensors"]["y"].update(scale=scale))
+        with pytest.raises(DataError, match="q.bin: tensor 'y' has bad scale"):
+            read_container(path, MAGIC_QUANT)
+
+    def test_non_object_index_is_malformed(self, tmp_path):
+        path = tmp_path / "c.bin"
+        self.write(path)
+        rewrite_header(path, lambda h: h.update(tensors=[1, 2]))
+        with pytest.raises(MalformedJson, match="no tensor index"):
+            read_container(path, MAGIC_FP32)
+
+
 class TestContainer:
     def test_round_trip_preserves_arrays(self, tmp_path):
         rng = np.random.default_rng(0)

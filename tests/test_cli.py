@@ -256,6 +256,7 @@ class TestFlags:
         assert report["encode_calls_full"] == report["prompt_count"]
         assert len(report["latencies_s"]) == 6
         assert report["latency_mean_s"] > 0.0
+        assert report["peak_rss_mb"] > 0.0
 
 
 class TestCutter:

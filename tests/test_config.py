@@ -13,7 +13,7 @@ from fragreel.config import (
 )
 from fragreel.errors import ConfigError
 from fragreel.frames import PreprocessConfig
-from fragreel.params import EncoderConfig
+from fragreel.params import EncoderConfig, TextConfig
 from fragreel.training import TrainConfig
 
 TOY_SECTIONS = {
@@ -161,6 +161,38 @@ class TestLoadRunConfig:
         run = load_run_config(write_config(tmp_path, payload))
         assert run.preprocess.mean == (0.1, 0.2, 0.3)
         assert run.preprocess.std == (1.0, 1.0, 1.0)
+
+
+class TestModelSizes:
+    @pytest.mark.parametrize("section, field, value", [
+        ("encoder", "n_cct_layers", -1),
+        ("encoder", "n_mit_layers", -2),
+        ("text", "n_layers", -3),
+        ("text", "prompt_blocks", -1),
+        ("encoder", "t_frames", 0),
+        ("encoder", "side", 0),
+        ("encoder", "patch", 0),
+        ("encoder", "d_model", 0),
+        ("encoder", "n_heads", -2),
+        ("encoder", "d_ffn", 0),
+        ("text", "d_text", -8),
+        ("text", "n_heads", 0),
+        ("text", "d_ffn", 0),
+        ("text", "prompt_heads", 0),
+    ])
+    def test_negative_counts_and_non_positive_sizes_rejected(self, section, field, value):
+        cls = EncoderConfig if section == "encoder" else TextConfig
+        with pytest.raises(ConfigError, match=field):
+            cls(**{field: value})
+
+    def test_zero_layers_and_blocks_accepted(self):
+        assert EncoderConfig(n_cct_layers=0, n_mit_layers=0).n_cct_layers == 0
+        assert TextConfig(n_layers=0, prompt_blocks=0).prompt_blocks == 0
+
+    def test_negative_layer_count_in_a_run_config_rejected(self, tmp_path):
+        payload = {"text": {"n_layers": -3}}
+        with pytest.raises(ConfigError, match="n_layers"):
+            load_run_config(write_config(tmp_path, payload))
 
 
 class TestDescribe:

@@ -161,6 +161,13 @@ class TestTextEncoderOracle:
         bad[5] = 600
         with pytest.raises(ShapeMismatch):
             encode_text(bad, params)
+        with pytest.raises(ShapeMismatch):
+            encode_text(np.zeros((0, CONTEXT_LENGTH), dtype=int), params)
+        with pytest.raises(ShapeMismatch):
+            encode_text(np.zeros((2, 3, CONTEXT_LENGTH), dtype=int), params)
+        no_eos = [PAD if t == EOS else t for t in tokenize("ok")]
+        with pytest.raises(ShapeMismatch, match="EOS"):
+            encode_text(np.array([tokenize("ok"), no_eos]), params)
 
 
 class TestVideoPromptOracle:
