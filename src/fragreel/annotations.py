@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 from . import seeds
@@ -32,7 +33,7 @@ class AnnotatedEvent:
     game: GameId
 
     def __post_init__(self):
-        if self.start_s < 0 or self.end_s < self.start_s:
+        if not 0 <= self.start_s <= self.end_s < math.inf:  # also rejects NaN
             raise NegativeInterval(
                 f"bad interval [{self.start_s}, {self.end_s}] in {self.video!r}"
             )
@@ -92,6 +93,8 @@ def parse_via(json_bytes: bytes, game: GameId) -> list[AnnotatedEvent]:
         if not isinstance(record, dict):
             raise MalformedJson(f"metadata entry {mid!r} is not an object")
         span = record.get("z", [])
+        if not isinstance(span, list):
+            raise MalformedJson(f"metadata entry {mid!r} has span {span!r}, not a list")
         if len(span) != 2:
             continue  # not a temporal segment (point marks, spatial regions)
         vid = str(record.get("vid", ""))
@@ -102,7 +105,10 @@ def parse_via(json_bytes: bytes, game: GameId) -> list[AnnotatedEvent]:
             raise MalformedJson(f"metadata entry {mid!r} has no label attribute")
         raw_label = values[sorted(values)[0]]
         label = parse_label(str(raw_label), game)
-        start, end = float(span[0]), float(span[1])
+        try:
+            start, end = float(span[0]), float(span[1])
+        except (TypeError, ValueError) as exc:
+            raise MalformedJson(f"metadata entry {mid!r} has non-numeric span {span!r}") from exc
         events.append(AnnotatedEvent(names[vid], start, end, label, game))
     return events
 

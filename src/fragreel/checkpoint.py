@@ -3,10 +3,10 @@
 Both formats share one layout: magic bytes, a u32 little-endian format
 version, a u32 little-endian JSON header length, the JSON header, then the
 raw tensor payload. The header carries the model config, training metadata
-(epoch, validation accuracy, text version stamp) and a tensor index mapping
-each name to dtype, shape, and byte offset into the payload. Tensors are
-serialized little-endian in sorted-name order, so a rerun with identical
-state produces byte-identical files. On load every index entry is checked
+(epoch, validation accuracy) and a tensor index mapping each name to dtype,
+shape, and byte offset into the payload. Tensors are serialized
+little-endian in sorted-name order, so a rerun with identical state
+produces byte-identical files. On load every index entry is checked
 (known dtype, non-negative int shape and offset, inside the payload, no
 overlap with another tensor, and for int8 files a finite positive scale);
 a failed check is a DataError naming the file and the tensor.
@@ -16,7 +16,9 @@ per-tensor symmetric scale in the index entry, plus calibrated activation
 scales under a dedicated header key.
 
 Format version 2 dropped the query and key tensors of the prompting blocks,
-which could not affect any output; version-1 files are rejected.
+which could not affect any output; version-1 files are rejected. Loaders
+ignore header and index keys they do not read, so version-2 files that
+still carry a text version stamp or per-tensor zero points load unchanged.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedJson(f"{path}: bad checkpoint header: {exc}") from exc
     pos += hlen
-    payload = data[pos:]
+    payload = memoryview(data)[pos:]  # a view: each tensor below is the one copy
     if not isinstance(header, dict) or not isinstance(header.get("tensors", {}), dict):
         raise MalformedJson(f"{path}: checkpoint header has no tensor index")
     spans = []
@@ -178,7 +180,6 @@ def save_checkpoint(path, params: ModelParams, epoch: int, val_accuracy: float |
         "config": params.config.to_dict(),
         "epoch": epoch,
         "val_accuracy": val_accuracy,
-        "text_version": params.text_version,
     }
     arrays = {name: t.data.astype(np.float32, copy=False) for name, t in params.tensors.items()}
     write_container(path, MAGIC_FP32, header, arrays)
@@ -189,8 +190,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     config = _header_config(header, path)
     _check_against_config(config, arrays, path)
     tensors = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
-    params = ModelParams(config, tensors, text_version=int(header.get("text_version", 0)))
-    return params, header
+    return ModelParams(config, tensors), header
 
 
 def save_quantized(
@@ -200,17 +200,15 @@ def save_quantized(
     activation_scales: dict[str, float],
     epoch: int,
     val_accuracy: float | None,
-    text_version: int,
 ) -> None:
     header = {
         "config": config.to_dict(),
         "epoch": epoch,
         "val_accuracy": val_accuracy,
-        "text_version": text_version,
         "activation_scales": dict(sorted(activation_scales.items())),
     }
     arrays = {name: q for name, (q, _scale) in qtensors.items()}
-    extras = {name: {"scale": scale, "zero_point": 0} for name, (_q, scale) in qtensors.items()}
+    extras = {name: {"scale": scale} for name, (_q, scale) in qtensors.items()}
     write_container(path, MAGIC_QUANT, header, arrays, tensor_extras=extras)
 
 
@@ -224,7 +222,7 @@ def load_quantized(path) -> tuple[ModelParams, dict[str, float], dict]:
         entry = header["tensors"][name]
         scale = float(entry["scale"])
         tensors[name] = Tensor((arr.astype(np.float32) * np.float32(scale)), requires_grad=False)
-    params = ModelParams(config, tensors, text_version=int(header.get("text_version", 0)))
+    params = ModelParams(config, tensors)
     scales = {site: float(s) for site, s in header.get("activation_scales", {}).items()}
     return params, scales, header
 

@@ -44,7 +44,15 @@ from .detection import (
     classify_session,
     slide_windows,
 )
-from .errors import ConfigError, DataError, DataResolutionError, EmptyInput, FragreelError
+from .errors import (
+    ConfigError,
+    DataError,
+    DataResolutionError,
+    EmptyInput,
+    FragreelError,
+    MalformedJson,
+    UnknownLabel,
+)
 from .frames import ClipStore, DecoderSource, preprocess_clip, read_rgbc_file
 from .metrics import evaluation_report
 from .parallel import blas_threads, worker_plan
@@ -269,21 +277,26 @@ def cmd_detect(args, run: RunConfig) -> int:
 
 def _read_predictions(path: str) -> list[SecondPrediction]:
     preds = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        probs = tuple(
-            (parse_label(name, GameId.UNKNOWN), float(p)) for name, p in sorted(rec["probs"].items())
-        )
-        preds.append(
-            SecondPrediction(
-                second_index=int(rec["second"]),
-                label=parse_label(rec["label"], GameId.UNKNOWN),
-                probability=float(rec["probability"]),
-                probabilities=probs,
+        try:
+            rec = json.loads(line)
+            probs = tuple(
+                (parse_label(name, GameId.UNKNOWN), float(p))
+                for name, p in sorted(rec["probs"].items())
             )
-        )
+            preds.append(
+                SecondPrediction(
+                    second_index=int(rec["second"]),
+                    label=parse_label(rec["label"], GameId.UNKNOWN),
+                    probability=float(rec["probability"]),
+                    probabilities=probs,
+                )
+            )
+        except (ValueError, KeyError, TypeError, AttributeError, UnknownLabel) as exc:
+            raise MalformedJson(f"{path}, line {lineno}: bad prediction record ({exc!r})") from exc
     preds.sort(key=lambda p: p.second_index)
     return preds
 

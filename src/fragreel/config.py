@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .background import SamplerConfig
 from .errors import ConfigError
 from .frames import PreprocessConfig
 from .params import GROUP_OF_PREFIX, EncoderConfig, HeadConfig, ModelConfig, TextConfig
@@ -27,6 +28,10 @@ class SamplerSettings:
     max_retries: int = 10
     buffer_secs: float = 3.0
     target_count: int | None = None
+
+    def __post_init__(self):
+        # SamplerConfig owns the checks; a bad value fails here, at load time
+        SamplerConfig(rng_seed=0, max_retries=self.max_retries, buffer_secs=self.buffer_secs)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ import math
 
 from .autodiff import (
     Tensor,
-    concat,
     gelu,
     layernorm,
     matmul,
@@ -118,8 +117,3 @@ def ffn(x: Tensor, params, prefix: str, qctx=None) -> Tensor:
     """Two linears around an exact GELU."""
     hidden = gelu(linear(x, params, f"{prefix}.in", qctx))
     return linear(hidden, params, f"{prefix}.out", qctx)
-
-
-def append_token(seq: Tensor, token: Tensor) -> Tensor:
-    """Concatenate a per-batch extra token: (..., S, d) + (..., 1, d)."""
-    return concat([seq, token], axis=seq.data.ndim - 2)

@@ -215,17 +215,11 @@ def param_count(cfg: ModelConfig, group: str | None = None) -> int:
 
 
 class ModelParams:
-    """All learnable tensors, addressable by dotted name.
+    """All learnable tensors, addressable by dotted name."""
 
-    ``text_version`` stamps the text-side weights for prompt-cache keying;
-    it changes only when text or prompting tensors are mutated (finetuning
-    with those groups unfrozen, or quantization).
-    """
-
-    def __init__(self, config: ModelConfig, tensors: dict[str, Tensor], text_version: int = 0):
+    def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
         self.config = config
         self.tensors = tensors
-        self.text_version = text_version
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int, dtype=np.float32) -> "ModelParams":
@@ -265,13 +259,10 @@ class ModelParams:
             name: Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
             for name, t in self.tensors.items()
         }
-        return ModelParams(self.config, tensors, text_version=self.text_version)
+        return ModelParams(self.config, tensors)
 
     def copy(self) -> "ModelParams":
         return self.astype(next(iter(self.tensors.values())).dtype)
-
-    def bump_text_version(self) -> None:
-        self.text_version += 1
 
     def zero_grads(self) -> None:
         for t in self.tensors.values():

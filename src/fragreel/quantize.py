@@ -26,7 +26,6 @@ QMAX = 127
 @dataclass(frozen=True)
 class QuantParams:
     scale: float
-    zero_point: int = 0
 
 
 def quantize_tensor(x: np.ndarray) -> tuple[np.ndarray, QuantParams]:
@@ -126,7 +125,6 @@ def quantize_model(checkpoint_in, checkpoint_out, calib_clips, prompt_sets) -> d
         scales,
         epoch=int(header.get("epoch", 0)),
         val_accuracy=header.get("val_accuracy"),
-        text_version=params.text_version + 1,
     )
     return scales
 

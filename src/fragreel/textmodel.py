@@ -17,7 +17,6 @@ order. Base embeddings are cached per prompt set, not recomputed per clip.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 from dataclasses import dataclass
@@ -206,29 +205,22 @@ def video_prompt(c: Tensor, v: Tensor, params: ModelParams, qctx=None) -> Tensor
 
 
 class PromptCache:
-    """Base prompt embeddings keyed by prompt content and text version.
+    """Base prompt embeddings of one set of text weights, keyed by PromptSet.
 
-    ``fetch`` holds the lock across a miss, its fill and the insert, so each
-    key is filled once. Hits return the stored array, so they are bit-identical.
+    A cache must not outlive the text weights it was filled from: a caller
+    that changes them starts a new cache. ``fetch`` holds the lock across a
+    miss, its fill and the insert, so each key is filled once. Hits return
+    the stored array, so they are bit-identical.
     """
 
     def __init__(self):
-        self._store: dict[str, np.ndarray] = {}
+        self._store: dict[PromptSet, np.ndarray] = {}
         self._lock = threading.RLock()  # reentrant: fetch calls lookup under it
         self.hits = 0
         self.misses = 0
         self.encode_calls = 0  # prompt rows encoded to fill the cache
 
-    @staticmethod
-    def fingerprint(prompt_set: PromptSet, text_version: int) -> str:
-        digest = hashlib.sha256()
-        digest.update(str(text_version).encode("ascii"))
-        for prompt in prompt_set.prompts:
-            digest.update(b"\x00")
-            digest.update(prompt.rendered.encode("utf-8"))
-        return digest.hexdigest()
-
-    def lookup(self, key: str) -> np.ndarray | None:
+    def lookup(self, key: PromptSet) -> np.ndarray | None:
         with self._lock:
             found = self._store.get(key)
             if found is None:
@@ -237,7 +229,7 @@ class PromptCache:
                 self.hits += 1
             return found
 
-    def fetch(self, key: str, fill) -> np.ndarray:
+    def fetch(self, key: PromptSet, fill) -> np.ndarray:
         """The entry for ``key``, made by ``fill()`` on a miss and stored read-only."""
         with self._lock:
             found = self.lookup(key)
@@ -265,7 +257,7 @@ def base_embeddings(
 
     if cache is None:
         return encode()
-    return cache.fetch(PromptCache.fingerprint(prompt_set, params.text_version), encode)
+    return cache.fetch(prompt_set, encode)
 
 
 def cosine(a: Tensor, b: Tensor) -> Tensor:

@@ -130,9 +130,7 @@ def _batch_loss(batch, params, prompt_sets, cache, text_grad):
     for ex in batch:
         v = encode_video(ex.clip, params)
         prompt_set = prompt_sets[ex.game]
-        logits = classification_logits(
-            v, prompt_set, params, cache=None if text_grad else cache, text_grad=text_grad
-        )
+        logits = classification_logits(v, prompt_set, params, cache, text_grad=text_grad)
         log_probs = log_softmax(logits)
         idx = prompt_set.index_of(ex.label)
         losses.append(reshape(-log_probs[idx], (1,)))
@@ -183,7 +181,6 @@ def train(
         raise ConfigError("training set is empty")
     text_grad = "text_encoder" not in cfg.freeze
     prompt_sets = _prompt_sets_for([*train_set, *val_set], catalogue)
-    cache = PromptCache()
     trainable = set(params.trainable_names(cfg.freeze))
     state = OptimizerState()
     best_metric = -math.inf
@@ -192,6 +189,9 @@ def train(
 
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg)
+        # one cache per epoch's text weights: they move only in this epoch's
+        # steps, and only when text_grad, which bypasses the cache
+        cache = PromptCache()
         order = seeds.stream(cfg.seed, "train", "shuffle", str(epoch)).permutation(len(train_set))
         loss_sum = 0.0
         seen = 0
@@ -214,9 +214,6 @@ def train(
             loss_sum += batch_loss * len(batch)
             seen += len(batch)
             correct += hits
-        if text_grad:
-            # text weights moved this epoch: cached embeddings are stale
-            params.bump_text_version()
         train_loss = loss_sum / seen
         train_acc = correct / seen
         val_acc = evaluate(val_set, params, catalogue, cache)

@@ -93,6 +93,16 @@ class TestParseVia:
         with pytest.raises(MalformedJson):
             parse_via(blob, GameId.CSGO)
 
+    @pytest.mark.parametrize("span", [["x", 2.0], [1.0, None], 5, "ab", {"a": 1, "b": 2}],
+                             ids=["string", "null", "number", "two_char_string", "object"])
+    def test_bad_span_raises_naming_the_entry(self, span):
+        blob = via_project({
+            "1_a": {"vid": "1", "z": [1.0, 2.0], "av": {"1": "Kill"}},
+            "1_bad": {"vid": "1", "z": span, "av": {"1": "Kill"}},
+        })
+        with pytest.raises(MalformedJson, match="'1_bad'"):
+            parse_via(blob, GameId.CSGO)
+
     def test_garbage_bytes_raise(self):
         with pytest.raises(MalformedJson):
             parse_via(b"{not json", GameId.CSGO)
@@ -108,6 +118,13 @@ class TestAnnotatedEvent:
     def test_inverted_interval_rejected(self):
         with pytest.raises(NegativeInterval):
             AnnotatedEvent("v", 5.0, 4.0, EventLabel.KILL, GameId.CSGO)
+
+    @pytest.mark.parametrize("start, end", [
+        (float("nan"), 2.0), (1.0, float("nan")), (1.0, float("inf")), (float("inf"), float("inf")),
+    ])
+    def test_non_finite_interval_rejected(self, start, end):
+        with pytest.raises(NegativeInterval):
+            AnnotatedEvent("v", start, end, EventLabel.KILL, GameId.CSGO)
 
 
 class TestEventToClip:

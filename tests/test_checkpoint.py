@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from fragreel.checkpoint import (
     write_container,
 )
 from fragreel.errors import DataError, MalformedJson, ShapeMismatch
-from fragreel.params import ModelParams, param_count
+from fragreel.params import (
+    EncoderConfig,
+    HeadConfig,
+    ModelConfig,
+    ModelParams,
+    TextConfig,
+    param_count,
+)
 
 
 @pytest.fixture()
@@ -37,6 +45,15 @@ def rewrite_header(path, edit) -> None:
     edit(header)
     new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(blob[:9] + struct.pack("<I", len(new_header)) + new_header + blob[13 + hlen:])
+
+
+def random_qtensors(params, seed: int = 2) -> dict:
+    rng = np.random.default_rng(seed)
+    return {
+        name: (rng.integers(-127, 128, size=params[name].shape).astype(np.int8),
+               float(rng.uniform(0.001, 0.1)))
+        for name in params.names()
+    }
 
 
 BAD_CONFIG_EDITS = pytest.mark.parametrize("edit", [
@@ -189,13 +206,6 @@ class TestModelCheckpoints:
             np.testing.assert_array_equal(loaded[name].data, params[name].data)
             assert loaded[name].requires_grad
 
-    def test_text_version_round_trips(self, tmp_path, params):
-        params.bump_text_version()
-        path = tmp_path / "m.xckp"
-        save_checkpoint(path, params, epoch=0, val_accuracy=None)
-        loaded, _ = load_checkpoint(path)
-        assert loaded.text_version == 1
-
     def test_mismatched_config_rejected(self, tmp_path, params):
         path = tmp_path / "m.xckp"
         save_checkpoint(path, params, epoch=0, val_accuracy=None)
@@ -220,20 +230,12 @@ class TestModelCheckpoints:
 
 class TestQuantizedCheckpoints:
     def test_round_trip_dequantizes(self, tmp_path, params):
-        qtensors = {}
-        rng = np.random.default_rng(2)
-        for name in params.names():
-            shape = params[name].shape
-            qtensors[name] = (
-                rng.integers(-127, 128, size=shape).astype(np.int8),
-                float(rng.uniform(0.001, 0.1)),
-            )
+        qtensors = random_qtensors(params)
         path = tmp_path / "m.xckq"
         save_quantized(path, params.config, qtensors, {"site:in": 0.5},
-                       epoch=9, val_accuracy=0.5, text_version=3)
+                       epoch=9, val_accuracy=0.5)
         loaded, scales, header = load_quantized(path)
         assert scales == {"site:in": 0.5}
-        assert loaded.text_version == 3
         assert header["epoch"] == 9
         for name, (q, scale) in qtensors.items():
             assert loaded[name].dtype == np.float32
@@ -249,7 +251,7 @@ class TestQuantizedCheckpoints:
             for name in params.names()
         }
         path = tmp_path / "m.xckq"
-        save_quantized(path, params.config, qtensors, {}, 0, None, 0)
+        save_quantized(path, params.config, qtensors, {}, 0, None)
         rewrite_header(path, edit)
         with pytest.raises(DataError, match="m.xckq"):
             load_quantized(path)
@@ -260,5 +262,58 @@ class TestQuantizedCheckpoints:
             for name in params.names()
         }
         path = tmp_path / "m.xckq"
-        save_quantized(path, params.config, qtensors, {}, 0, None, 0)
+        save_quantized(path, params.config, qtensors, {}, 0, None)
         assert payload_bytes(path, MAGIC_QUANT) == param_count(params.config)
+
+
+class TestOlderHeaderKeys:
+    """Files that still carry the dropped ``text_version`` header key and the
+    per-tensor ``zero_point`` index key load as if those keys were absent."""
+
+    def test_fp32_text_version_ignored(self, tmp_path, params):
+        path = tmp_path / "m.xckp"
+        save_checkpoint(path, params, epoch=1, val_accuracy=0.5)
+        plain, _ = load_checkpoint(path)
+        rewrite_header(path, lambda h: h.update(text_version=3))
+        older, header = load_checkpoint(path)
+        assert header["text_version"] == 3
+        for name in params.names():
+            assert older[name].data.tobytes() == plain[name].data.tobytes()
+
+    def test_quantized_text_version_and_zero_point_ignored(self, tmp_path, params):
+        path = tmp_path / "m.xckq"
+        save_quantized(path, params.config, random_qtensors(params), {"site:in": 0.5}, 0, None)
+        plain, plain_scales, plain_header = load_quantized(path)
+
+        def edit(header):
+            header["text_version"] = 1
+            for entry in header["tensors"].values():
+                entry["zero_point"] = 0
+
+        rewrite_header(path, edit)
+        older, older_scales, older_header = load_quantized(path)
+        assert older_scales == plain_scales
+        for name in params.names():
+            assert older[name].data.tobytes() == plain[name].data.tobytes()
+            assert older_header["tensors"][name]["scale"] == plain_header["tensors"][name]["scale"]
+
+
+def test_load_peak_memory_is_about_two_files(tmp_path):
+    """The file's bytes plus one copy per tensor: no copy of the whole payload."""
+    config = ModelConfig(
+        encoder=EncoderConfig(t_frames=2, side=8, patch=4, d_model=128, n_heads=2,
+                              n_cct_layers=2, n_mit_layers=1, d_ffn=512),
+        text=TextConfig(d_text=128, n_heads=2, n_layers=2, d_ffn=512, prompt_heads=2),
+        head=HeadConfig(),
+    )
+    path = tmp_path / "m.xckp"
+    save_checkpoint(path, ModelParams.init(config, seed=0), epoch=0, val_accuracy=None)
+    size = path.stat().st_size
+    assert size > 4_000_000  # large enough that fixed overheads do not matter
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * size

@@ -361,3 +361,47 @@ class TestExitCodes:
             "--out", tmp_path / "x",
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("bad_line", [
+        "{not json",
+        json.dumps({"second": 1, "label": "Kill", "probability": 0.9}),
+        json.dumps({"second": 1, "label": "Teabag", "probability": 0.9, "probs": {"Kill": 0.9}}),
+    ], ids=["invalid_json", "no_probs", "unknown_label"])
+    def test_malformed_predictions_are_data_error(self, env, tmp_path, capsys, bad_line):
+        good = env["artifacts"]["predictions"].read_text().splitlines()[0]
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(f"{good}\n{bad_line}\n")
+        rc = run_cli([
+            "highlight", "--config", env["config"], "--predictions", preds,
+            "--game", GAME, "--targets", "Kill", "--out", tmp_path / "h.json",
+        ])
+        assert rc == 3
+        assert f"{preds}, line 2" in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
+
+    @pytest.mark.parametrize("sampler", [{"max_retries": 0}, {"buffer_secs": -1}],
+                             ids=["max_retries", "buffer_secs"])
+    def test_bad_sampler_setting_is_config_error(self, env, tmp_path, sampler):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(TOY_CONFIG, data_root=str(env["data"]), sampler=sampler)))
+        rc = run_cli([
+            "sample-background", "--config", bad, "--game", GAME,
+            "--out", tmp_path / "x.json",
+        ])
+        assert rc == 2
+
+    @pytest.mark.parametrize("span", [["x", 2.0], 5], ids=["non_numeric", "not_a_list"])
+    def test_bad_via_span_is_data_error(self, env, tmp_path, span):
+        game_dir = tmp_path / "data" / GAME
+        game_dir.mkdir(parents=True)
+        frames = np.zeros((8, 6, 6, 3), dtype=np.uint8)
+        (game_dir / "clip.rgbc").write_bytes(write_rgbc(RawClip(frames=frames, fps=Fraction(2))))
+        metadata = {"m": {"vid": "1", "z": span, "av": {"1": "Kill"}}}
+        (game_dir / "clip.via.json").write_text(
+            json.dumps({"file": {"1": {"fname": "clip.rgbc"}}, "metadata": metadata})
+        )
+        rc = run_cli([
+            "sample-background", "--config", env["config"], "--data-root", tmp_path / "data",
+            "--game", GAME, "--out", tmp_path / "x.json",
+        ])
+        assert rc == 3

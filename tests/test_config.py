@@ -144,6 +144,15 @@ class TestLoadRunConfig:
         assert run.sampler == SamplerSettings(max_retries=5)
         assert run.quantizer == QuantizerSettings(calib_count=3)
 
+    @pytest.mark.parametrize("sampler", [
+        {"max_retries": 0},
+        {"buffer_secs": -1},
+        {"max_retries": "3"},
+    ], ids=["zero_retries", "negative_buffer", "string_retries"])
+    def test_bad_sampler_setting_rejected(self, tmp_path, sampler):
+        with pytest.raises(ConfigError, match="config.sampler"):
+            load_run_config(write_config(tmp_path, {"sampler": sampler}))
+
     def test_zero_calibration_budget_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_run_config(write_config(tmp_path, {"quantizer": {"calib_count": 0}}))

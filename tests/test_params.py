@@ -157,12 +157,6 @@ class TestModelParams:
         params = ModelParams.init(toy_model_config(), seed=0).astype(np.float64)
         assert all(params[n].dtype == np.float64 for n in params.names())
 
-    def test_bump_text_version(self):
-        params = ModelParams.init(toy_model_config(), seed=0)
-        assert params.text_version == 0
-        params.bump_text_version()
-        assert params.text_version == 1
-
     def test_zero_grads_clears(self):
         from fragreel.autodiff import sum_
         params = ModelParams.init(toy_model_config(), seed=0)

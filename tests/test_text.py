@@ -298,18 +298,21 @@ class TestPromptCache:
         base_embeddings(ps, params, cache)
         assert (cache.misses, cache.hits) == (1, 1)
 
-    def test_fingerprint_tracks_text_version(self, text_setup):
+    def test_keyed_by_prompt_set_content(self, text_setup):
+        """Sets that differ only in a description are separate entries; an
+        equal PromptSet built anew is a hit."""
         _, params, _ = text_setup
-        ps = prompt_set_for(GameId.OW2)
-        before = PromptCache.fingerprint(ps, params.text_version)
-        params.bump_text_version()
-        after = PromptCache.fingerprint(ps, params.text_version)
-        assert before != after
-
-    def test_fingerprint_tracks_prompt_content(self):
         a = PromptSet(GameId.OW2, (PromptTemplate("OW2", EventLabel.KILL),))
         b = PromptSet(GameId.OW2, (PromptTemplate("OW2", EventLabel.KILL, "desc"),))
-        assert PromptCache.fingerprint(a, 0) != PromptCache.fingerprint(b, 0)
+        cache = PromptCache()
+        rows_a = base_embeddings(a, params, cache)
+        rows_b = base_embeddings(b, params, cache)
+        assert (cache.misses, cache.hits) == (2, 0)
+        assert not np.array_equal(rows_a, rows_b)
+        again = PromptSet(GameId.OW2, (PromptTemplate("OW2", EventLabel.KILL),))
+        assert again is not a
+        assert base_embeddings(again, params, cache) is rows_a
+        assert (cache.misses, cache.hits) == (2, 1)
 
     def test_cached_rows_are_read_only(self, text_setup):
         _, params, _ = text_setup
@@ -320,12 +323,3 @@ class TestPromptCache:
         assert again is rows or again.base is rows
         with pytest.raises(ValueError):
             again[0, 0] = 1.0
-
-    def test_stale_cache_not_served_after_version_bump(self, text_setup):
-        _, params, _ = text_setup
-        ps = prompt_set_for(GameId.OW2)
-        cache = PromptCache()
-        base_embeddings(ps, params, cache)
-        params.bump_text_version()
-        base_embeddings(ps, params, cache)
-        assert cache.misses == 2

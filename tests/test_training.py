@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import OVERFIT_TRAIN, overfit_clips, toy_model_config
 
-from fragreel import seeds
+from fragreel import seeds, training
 from fragreel.autodiff import no_grad
 from fragreel.catalogue import EventLabel, GameId
 from fragreel.checkpoint import load_checkpoint
@@ -15,7 +15,7 @@ from fragreel.errors import ConfigError, NonFiniteGradient
 from fragreel.frames import ClipStore, PreprocessConfig, RawClip, write_rgbc
 from fragreel.annotations import ClipRef
 from fragreel.params import ModelParams
-from fragreel.textmodel import classify, prompt_set_for
+from fragreel.textmodel import base_embeddings, classify, prompt_set_for
 from fragreel.training import (
     DEFAULT_FREEZE,
     OptimizerState,
@@ -160,8 +160,33 @@ class TestFreezing:
         }
         assert "video" in moved and "head" in moved
 
-    def test_text_version_unchanged_when_frozen(self, overfit_run):
-        assert overfit_run["final"].text_version == overfit_run["initial"].text_version
+
+class TestPromptCacheLifetime:
+    def test_epoch_end_cache_holds_current_text_weights(self, monkeypatch):
+        """With the text encoder trainable, the cache read by every epoch-end
+        evaluation gives what a fresh encode of the current weights gives."""
+        examples = overfit_clips()
+        params = ModelParams.init(toy_model_config(), seed=7)
+        prompt_set = prompt_set_for(GameId.OW2)
+        served_and_fresh = []
+        real_evaluate = training.evaluate
+
+        def checked_evaluate(examples, params, catalogue=None, cache=None):
+            score = real_evaluate(examples, params, catalogue, cache)
+            served_and_fresh.append(
+                (base_embeddings(prompt_set, params, cache), base_embeddings(prompt_set, params))
+            )
+            return score
+
+        monkeypatch.setattr(training, "evaluate", checked_evaluate)
+        cfg = TrainConfig(epochs=3, batch_size=4, lr_max=2e-2, lr_min=2e-3, seed=3,
+                          freeze={"prompting_module"})
+        train(examples[:6], examples[6:], params, cfg)
+        assert len(served_and_fresh) == cfg.epochs
+        for served, fresh in served_and_fresh:
+            np.testing.assert_array_equal(served, fresh)
+        # the text weights moved between epochs, so a stale entry would show
+        assert not np.array_equal(served_and_fresh[0][1], served_and_fresh[-1][1])
 
 
 class TestOverfitRun:
