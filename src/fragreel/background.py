@@ -37,6 +37,8 @@ class SamplerConfig:
             raise ValueError("max_retries must be >= 1")
         if self.buffer_secs < 0:
             raise ValueError("buffer_secs must be >= 0")
+        if self.target_count is not None and self.target_count < 0:
+            raise ValueError(f"target_count must be >= 0, got {self.target_count}")
 
 
 def _merged(intervals: list[Interval]) -> list[Interval]:

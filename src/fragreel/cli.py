@@ -53,7 +53,7 @@ from .errors import (
     MalformedJson,
     UnknownLabel,
 )
-from .frames import ClipStore, DecoderSource, preprocess_clip, read_rgbc_file
+from .frames import ClipStore, DecoderSource
 from .metrics import evaluation_report
 from .parallel import blas_threads, worker_plan
 from .params import ModelParams
@@ -71,7 +71,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _store(run: RunConfig) -> ClipStore:
-    decoder = DecoderSource(run.decoder, max_procs=run.jobs) if run.decoder else None
+    decoder = DecoderSource(run.decoder) if run.decoder else None
     return ClipStore(data_root=Path(run.data_root), preprocess=run.preprocess, decoder=decoder)
 
 
@@ -91,14 +91,6 @@ def _load_model(path: str):
     raise DataError(f"{path}: unrecognized checkpoint magic {magic!r}")
 
 
-def _game_videos(run: RunConfig, game: GameId) -> list[Path]:
-    base = Path(run.data_root) / game.value
-    videos = sorted(base.glob("*.rgbc"))
-    if not videos:
-        raise DataResolutionError(f"no .rgbc videos under {base}")
-    return videos
-
-
 def _parse_targets(spec: str, game: GameId) -> set[EventLabel]:
     labels = set()
     for part in spec.split(","):
@@ -109,18 +101,17 @@ def _parse_targets(spec: str, game: GameId) -> set[EventLabel]:
 
 
 class SessionClips:
-    """Whole-second clip tensors of one video, fetched on demand."""
+    """Whole-second clips of one video, preprocessed on demand."""
 
     def __init__(self, store: ClipStore, game: GameId, video: str, seconds: int):
-        self._second = store.seconds(game, video)
-        self._preprocess = store.preprocess
+        self._clip_at = store.clips(game, video)
         self._seconds = seconds
 
     def __len__(self) -> int:
         return self._seconds
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return preprocess_clip(self._second(float(i)), self._preprocess).data
+        return self._clip_at(float(i))
 
 
 def _session(args, run: RunConfig):
@@ -138,21 +129,24 @@ def _session(args, run: RunConfig):
 
 def cmd_sample_background(args, run: RunConfig) -> int:
     game = parse_game(args.game)
+    store = _store(run)
     files: dict[str, tuple[float, list]] = {}
-    for video in _game_videos(run, game):
+    for video in store.videos(game):
         ann_path = video.parent / (video.stem + ".via.json")
         if not ann_path.is_file():
             raise DataResolutionError(f"annotation file missing: {ann_path}")
         events = parse_via(ann_path.read_bytes(), game)
-        duration = read_rgbc_file(video).duration_s
-        files[video.name] = (duration, events)
+        files[video.name] = (store.duration(game, video.name), events)
     target = args.target_count if args.target_count is not None else run.sampler.target_count
-    cfg = background.SamplerConfig(
-        rng_seed=run.seed,
-        max_retries=run.sampler.max_retries,
-        buffer_secs=run.sampler.buffer_secs,
-        target_count=target,
-    )
+    try:
+        cfg = background.SamplerConfig(
+            rng_seed=run.seed,
+            max_retries=run.sampler.max_retries,
+            buffer_secs=run.sampler.buffer_secs,
+            target_count=target,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"--target-count: {exc}") from exc
     sampled = background.get_bkg_events(game, files, cfg)
     events = background.as_events(sampled, game)
     _write_text(args.out, events_to_json(events))
@@ -237,7 +231,7 @@ def cmd_quantize(args, run: RunConfig) -> int:
     picks = pool[: run.quantizer.calib_count]
     if not picks:
         raise EmptyInput("manifest has no entries to calibrate on")
-    clips = [store.clip_tensor(e).data for e in picks]
+    clips = [store.clip(e) for e in picks]
     catalogue = _catalogue(run)
     games = sorted({e.game for e in manifest.entries}, key=lambda g: g.value)
     prompt_sets = [prompt_set_for(g, catalogue) for g in games]
@@ -302,6 +296,8 @@ def _read_predictions(path: str) -> list[SecondPrediction]:
 
 
 def cmd_highlight(args, run: RunConfig) -> int:
+    if args.cut_dir and not run.cutter:
+        raise ConfigError("--cut-dir needs a `cutter` command in the run config")
     game = parse_game(args.game)
     preds = _read_predictions(args.predictions)
     if not preds:
@@ -312,7 +308,7 @@ def cmd_highlight(args, run: RunConfig) -> int:
     edl = build_edl(decisions, session_len, source=args.video or "")
     _write_text(args.out, edl.to_json())
     logger.info("%d cuts -> %s", len(edl.cuts), args.out)
-    if args.cut_dir and run.cutter:
+    if args.cut_dir:
         _run_cutter(run, edl, args.cut_dir)
     return 0
 
@@ -342,6 +338,8 @@ def _run_cutter(run: RunConfig, edl: HighlightEdl, cut_dir: str) -> None:
 
 
 def cmd_bench(args, run: RunConfig) -> int:
+    if args.subset < 1:
+        raise ConfigError(f"--subset must be >= 1, got {args.subset}")
     params, qctx, prompt_set, clips = _session(args, run)
     seconds = len(clips)
 

@@ -31,7 +31,7 @@ class SamplerSettings:
 
     def __post_init__(self):
         # SamplerConfig owns the checks; a bad value fails here, at load time
-        SamplerConfig(rng_seed=0, max_retries=self.max_retries, buffer_secs=self.buffer_secs)
+        SamplerConfig(0, self.max_retries, self.buffer_secs, self.target_count)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ import os
 import shlex
 import struct
 import subprocess
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -73,14 +73,6 @@ class PreprocessConfig:
             raise ValueError("t_frames must be >= 1")
         if self.side < 1:
             raise ValueError("side must be >= 1")
-
-
-@dataclass(frozen=True)
-class ClipTensor:
-    """Normalized (T, S, S, 3) float32 stack plus its provenance."""
-
-    data: np.ndarray
-    provenance: ClipRef | None = None
 
 
 def write_rgbc(clip: RawClip) -> bytes:
@@ -195,34 +187,34 @@ def normalize(clip: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
     return ((clip.astype(np.float64) - mean) / std).astype(np.float32)
 
 
-def preprocess_clip(raw: RawClip, cfg: PreprocessConfig, provenance: ClipRef | None = None) -> ClipTensor:
-    """select -> resize -> normalize; output shape (t_frames, side, side, 3)."""
+def preprocess_clip(raw: RawClip, cfg: PreprocessConfig) -> np.ndarray:
+    """select -> resize -> normalize; (t_frames, side, side, 3) float32."""
     frames = select_frames(raw, cfg.t_frames)
     resized = np.stack([resize_bilinear(f, cfg.side) for f in frames])
-    return ClipTensor(data=normalize(resized, cfg), provenance=provenance)
+    return normalize(resized, cfg)
 
 
 class DecoderSource:
-    """External decoder invoked per clip, bounded to ``max_procs`` at a time.
+    """External decoder invoked once per clip.
 
     The command template must contain {input} {start} {dur} placeholders and
-    the process must write a valid RGBC stream to stdout, exiting 0.
+    the process must write a valid RGBC stream to stdout, exiting 0. Clips
+    are fetched on the ``jobs`` workers of ``parallel.map_ordered``, which
+    therefore also bound the decoder processes running at once.
     """
 
-    def __init__(self, command_template: str, max_procs: int = 2):
+    def __init__(self, command_template: str):
         self._template = shlex.split(command_template)
         for placeholder in ("{input}", "{start}", "{dur}"):
             if not any(placeholder in part for part in self._template):
                 raise ValueError(f"decoder template lacks {placeholder}")
-        self._slots = threading.BoundedSemaphore(max_procs)
 
     def fetch(self, path: str | Path, start_s: float, duration_s: float) -> RawClip:
         argv = [
             part.format(input=str(path), start=repr(float(start_s)), dur=repr(float(duration_s)))
             for part in self._template
         ]
-        with self._slots:
-            proc = subprocess.run(argv, capture_output=True)
+        proc = subprocess.run(argv, capture_output=True)
         if proc.returncode != 0:
             raise DataResolutionError(
                 f"decoder exited {proc.returncode} for {path}: {proc.stderr[:200]!r}"
@@ -232,7 +224,7 @@ class DecoderSource:
 
 @dataclass
 class ClipStore:
-    """Resolves manifest clip references to preprocessed tensors.
+    """The one path from a video file to preprocessed clips.
 
     Videos live under ``data_root/<game>/<video>``; ".rgbc" files are mapped
     read-only and anything else needs the external decoder.
@@ -250,31 +242,34 @@ class ClipStore:
                 return path
         raise DataResolutionError(f"no video file for {game.value}/{video} under {self.data_root}")
 
-    def _load(self, path: Path) -> RawClip:
-        if path.suffix == ".rgbc":
-            return read_rgbc_file(path)
-        if self.decoder is not None:
-            raise DataResolutionError(f"{path} is not .rgbc; decode windows via raw_second instead")
-        raise DataResolutionError(f"{path} is not .rgbc and no decoder is configured")
+    def videos(self, game: GameId) -> list[Path]:
+        """The ".rgbc" files of one game, sorted by name."""
+        base = Path(self.data_root) / game.value
+        videos = sorted(base.glob("*.rgbc"))
+        if not videos:
+            raise DataResolutionError(f"no .rgbc videos under {base}")
+        return videos
 
     def duration(self, game: GameId, video: str) -> float:
-        return self._load(self.resolve(game, video)).duration_s
+        path = self.resolve(game, video)
+        if path.suffix != ".rgbc":
+            raise DataResolutionError(f"{path}: only an .rgbc file has a known duration")
+        return read_rgbc_file(path).duration_s
 
-    def seconds(self, game: GameId, video: str) -> Callable[[float], RawClip]:
-        """The one-second window at ``start_s`` of one video, as a function.
+    def clips(self, game: GameId, video: str) -> Callable[[float], np.ndarray]:
+        """The preprocessed one-second clip at ``start_s`` of one video, as a function.
 
         An ".rgbc" file is mapped once, here, and the map lives as long as
-        the returned function.
+        the returned function; any other file is decoded once per call.
         """
         path = self.resolve(game, video)
-        if path.suffix != ".rgbc" and self.decoder is not None:
-            return lambda start_s: self.decoder.fetch(path, start_s, 1.0)
-        clip = self._load(path)
-        return lambda start_s: extract_second(clip, start_s)
+        if path.suffix == ".rgbc":
+            second = partial(extract_second, read_rgbc_file(path))
+        elif self.decoder is not None:
+            second = partial(self.decoder.fetch, path, duration_s=1.0)
+        else:
+            raise DataResolutionError(f"{path} is not .rgbc and no decoder is configured")
+        return lambda start_s: preprocess_clip(second(start_s), self.preprocess)
 
-    def raw_second(self, game: GameId, video: str, start_s: float) -> RawClip:
-        return self.seconds(game, video)(start_s)
-
-    def clip_tensor(self, ref: ClipRef) -> ClipTensor:
-        raw = self.raw_second(ref.game, ref.video, ref.clip_start_s)
-        return preprocess_clip(raw, self.preprocess, provenance=ref)
+    def clip(self, ref: ClipRef) -> np.ndarray:
+        return self.clips(ref.game, ref.video)(ref.clip_start_s)

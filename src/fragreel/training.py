@@ -241,14 +241,13 @@ def train(
 
 
 def materialize_examples(manifest_entries, store, jobs: int = 1) -> list[TrainExample]:
-    """Resolve manifest entries to preprocessed clip tensors.
+    """Resolve manifest entries to preprocessed clips.
 
     Decoding runs on up to ``jobs`` workers (see ``parallel``); output order
     matches the input entries regardless of completion order.
     """
 
     def load(entry):
-        tensor = store.clip_tensor(entry)
-        return TrainExample(clip=tensor.data, game=entry.game, label=entry.label)
+        return TrainExample(clip=store.clip(entry), game=entry.game, label=entry.label)
 
     return map_ordered(load, manifest_entries, jobs)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .autodiff import Tensor, assert_finite, concat, matmul, mean, reshape
 from .errors import ShapeMismatch
-from .frames import ClipTensor
 from .layers import ffn, layer_norm, linear, mhsa, prunes_rows, qpass
 from .params import EncoderConfig, ModelParams
 
@@ -106,7 +105,7 @@ def mit_pool(h: Tensor, params: ModelParams, cfg: EncoderConfig, qctx=None) -> T
 def encode_video(clip, params: ModelParams, qctx=None) -> Tensor:
     """Encode a preprocessed clip (T, side, side, 3) to one embedding (d,)."""
     cfg = params.config.encoder
-    data = clip.data if isinstance(clip, ClipTensor) else np.asarray(clip)
+    data = np.asarray(clip)
     expected = (cfg.t_frames, cfg.side, cfg.side, 3)
     if data.shape != expected:
         raise ShapeMismatch(f"clip shape {data.shape} != {expected}")

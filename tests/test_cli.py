@@ -379,8 +379,9 @@ class TestExitCodes:
         assert f"{preds}, line 2" in capsys.readouterr().err
         assert not (tmp_path / "h.json").exists()
 
-    @pytest.mark.parametrize("sampler", [{"max_retries": 0}, {"buffer_secs": -1}],
-                             ids=["max_retries", "buffer_secs"])
+    @pytest.mark.parametrize("sampler",
+                             [{"max_retries": 0}, {"buffer_secs": -1}, {"target_count": -3}],
+                             ids=["max_retries", "buffer_secs", "target_count"])
     def test_bad_sampler_setting_is_config_error(self, env, tmp_path, sampler):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(TOY_CONFIG, data_root=str(env["data"]), sampler=sampler)))
@@ -389,6 +390,39 @@ class TestExitCodes:
             "--out", tmp_path / "x.json",
         ])
         assert rc == 2
+
+    def test_negative_target_count_flag_is_config_error(self, env, tmp_path, capsys):
+        rc = run_cli([
+            "sample-background", "--config", env["config"], "--game", GAME,
+            "--target-count", -3, "--out", tmp_path / "x.json",
+        ])
+        assert rc == 2
+        assert "target_count" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("subset", [0, -2])
+    def test_bench_subset_below_one_is_config_error(self, env, tmp_path, capsys, subset):
+        rc = run_cli([
+            "bench", "--config", env["config"],
+            "--checkpoint", env["artifacts"]["checkpoint"],
+            "--game", GAME, "--video", "bravo.rgbc", "--seconds", 2,
+            "--subset", subset, "--out", tmp_path / "bench.json",
+        ])
+        assert rc == 2
+        assert "--subset" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
+
+    def test_cut_dir_without_cutter_is_config_error(self, env, tmp_path, capsys):
+        rc = run_cli([
+            "highlight", "--config", env["config"],
+            "--predictions", env["artifacts"]["predictions"],
+            "--game", GAME, "--session-len", 8,
+            "--out", tmp_path / "edl.json", "--cut-dir", tmp_path / "cuts",
+        ])
+        assert rc == 2
+        assert "`cutter`" in capsys.readouterr().err
+        assert not (tmp_path / "edl.json").exists()
+        assert not (tmp_path / "cuts").exists()
 
     @pytest.mark.parametrize("span", [["x", 2.0], 5], ids=["non_numeric", "not_a_list"])
     def test_bad_via_span_is_data_error(self, env, tmp_path, span):

@@ -148,7 +148,8 @@ class TestLoadRunConfig:
         {"max_retries": 0},
         {"buffer_secs": -1},
         {"max_retries": "3"},
-    ], ids=["zero_retries", "negative_buffer", "string_retries"])
+        {"target_count": -3},
+    ], ids=["zero_retries", "negative_buffer", "string_retries", "negative_target_count"])
     def test_bad_sampler_setting_rejected(self, tmp_path, sampler):
         with pytest.raises(ConfigError, match="config.sampler"):
             load_run_config(write_config(tmp_path, {"sampler": sampler}))

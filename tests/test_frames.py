@@ -168,8 +168,8 @@ class TestNormalize:
     def test_preprocess_shape(self):
         cfg = PreprocessConfig(t_frames=3, side=4)
         out = preprocess_clip(random_clip(frames=8, height=6, width=6), cfg)
-        assert out.data.shape == (3, 4, 4, 3)
-        assert out.data.dtype == np.float32
+        assert out.shape == (3, 4, 4, 3)
+        assert out.dtype == np.float32
 
 
 class TestClipStore:
@@ -195,23 +195,29 @@ class TestClipStore:
         with pytest.raises(DataResolutionError):
             store.resolve(GameId.CSGO, "nope")
 
-    def test_duration_and_clip_tensor(self, tmp_path):
+    def test_duration_and_clip(self, tmp_path):
         clip = self.write_video(tmp_path)
         store = self.store(tmp_path)
         assert store.duration(GameId.CSGO, "v.rgbc") == clip.duration_s
         ref = ClipRef("v.rgbc", 1.0, EventLabel.KILL, GameId.CSGO, "train")
-        tensor = store.clip_tensor(ref)
-        assert tensor.data.shape == (2, 4, 4, 3)
-        assert tensor.provenance == ref
+        out = store.clip(ref)
+        assert out.shape == (2, 4, 4, 3)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, store.clips(GameId.CSGO, "v")(1.0))
 
     def test_seconds_match_a_whole_read(self, tmp_path):
-        clip = self.write_video(tmp_path, frames=18)  # 4.5 s at 4 fps
+        self.write_video(tmp_path, frames=18)  # 4.5 s at 4 fps
         whole = read_rgbc((tmp_path / "CSGO" / "v.rgbc").read_bytes())
-        second = self.store(tmp_path).seconds(GameId.CSGO, "v")
+        store = self.store(tmp_path)
+        clip_at = store.clips(GameId.CSGO, "v")
         for start_s in [-2.0, -0.5, *np.arange(0.0, 7.0, 0.5)]:  # both ends clamp
-            got, want = second(start_s), extract_second(whole, start_s)
-            np.testing.assert_array_equal(got.frames, want.frames)
-            assert got.fps == want.fps == clip.fps
+            want = preprocess_clip(extract_second(whole, start_s), store.preprocess)
+            np.testing.assert_array_equal(clip_at(start_s), want)
+
+    def test_videos_of_an_empty_game_folder_raise(self, tmp_path):
+        (tmp_path / "CSGO").mkdir()
+        with pytest.raises(DataResolutionError, match="no .rgbc videos"):
+            self.store(tmp_path).videos(GameId.CSGO)
 
     def test_sparse_session_is_not_read_whole(self, tmp_path):
         # 1360 frames of 128x128 at 30 fps: about 64 MB, all holes on disk
@@ -224,15 +230,16 @@ class TestClipStore:
         tracemalloc.start()
         try:
             duration = store.duration(GameId.CSGO, "big")
-            first = store.raw_second(GameId.CSGO, "big", 0.0)
-            last = store.raw_second(GameId.CSGO, "big", duration - 1.0)
-            touched = first.frames.any() or last.frames.any()
+            clip_at = store.clips(GameId.CSGO, "big")
+            first, last = clip_at(0.0), clip_at(duration - 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        zeros = preprocess_clip(RawClip(np.zeros((30, 128, 128, 3), np.uint8), Fraction(30)),
+                                store.preprocess)
         assert duration == 1360 / 30
-        assert first.frames.shape == last.frames.shape == (30, 128, 128, 3)
-        assert not touched
+        np.testing.assert_array_equal(first, zeros)
+        np.testing.assert_array_equal(last, zeros)
         assert peak < 4 * 2**20
 
     def test_non_rgbc_without_decoder_raises(self, tmp_path):
@@ -241,7 +248,21 @@ class TestClipStore:
         (folder / "v.mp4").write_bytes(b"fakevideo")
         store = self.store(tmp_path)
         with pytest.raises(DataResolutionError):
-            store.raw_second(GameId.CSGO, "v.mp4", 0.0)
+            store.clips(GameId.CSGO, "v.mp4")
+
+    def test_duration_of_a_non_rgbc_file_names_it(self, tmp_path):
+        folder = tmp_path / "CSGO"
+        folder.mkdir()
+        (folder / "v.mp4").write_bytes(b"fakevideo")
+        store = ClipStore(
+            data_root=tmp_path,
+            preprocess=PreprocessConfig(t_frames=2, side=4),
+            decoder=DecoderSource("decode {input} {start} {dur}"),
+        )
+        with pytest.raises(DataResolutionError, match="only an .rgbc file") as info:
+            store.duration(GameId.CSGO, "v.mp4")
+        assert str(folder / "v.mp4") in str(info.value)
+        assert "raw_second" not in str(info.value)
 
 
 # the child imports the fragreel under test, installed or not
@@ -262,9 +283,7 @@ class TestDecoderSource:
     def make(self, tmp_path, script=DECODER_SCRIPT):
         helper = tmp_path / "decode.py"
         helper.write_text(script)
-        return DecoderSource(
-            f"{sys.executable} {helper} {{input}} {{start}} {{dur}}", max_procs=2
-        )
+        return DecoderSource(f"{sys.executable} {helper} {{input}} {{start}} {{dur}}")
 
     def test_fetch_decodes_stream(self, tmp_path):
         decoder = self.make(tmp_path)
@@ -290,5 +309,7 @@ class TestDecoderSource:
             preprocess=PreprocessConfig(t_frames=2, side=4),
             decoder=self.make(tmp_path),
         )
-        raw = store.raw_second(GameId.CSGO, "v.mp4", 3.0)
-        assert np.all(raw.frames == 3)
+        got = store.clips(GameId.CSGO, "v.mp4")(3.0)
+        frames = np.full((4, 4, 4, 3), 3, dtype=np.uint8)
+        want = preprocess_clip(RawClip(frames=frames, fps=Fraction(4)), store.preprocess)
+        np.testing.assert_array_equal(got, want)

@@ -78,9 +78,9 @@ def test_materialize_examples_pins_and_restores():
     seen = []
 
     class RecordingStore:
-        def clip_tensor(self, entry):
+        def clip(self, entry):
             seen.append(parallel.blas_threads())
-            return SimpleNamespace(data=np.zeros(1))
+            return np.zeros(1)
 
     entries = [SimpleNamespace(game=GameId.CSGO, label=EventLabel.KILL) for _ in range(3)]
     before = parallel.blas_threads()

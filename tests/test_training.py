@@ -344,7 +344,7 @@ class TestMaterializeExamples:
             assert isinstance(example, TrainExample)
             assert example.label == entry.label
             assert example.game == entry.game
-            expected = store.clip_tensor(entry).data
+            expected = store.clip(entry)
             np.testing.assert_array_equal(example.clip, expected)
 
     def test_single_worker_equivalent(self, tmp_path):
