@@ -9,7 +9,8 @@ little-endian in sorted-name order, so a rerun with identical state
 produces byte-identical files. On load every index entry is checked
 (known dtype, non-negative int shape and offset, inside the payload, no
 overlap with another tensor, and for int8 files a finite positive scale);
-a failed check is a DataError naming the file and the tensor.
+a failed check is a DataError naming the file and the tensor. An int8
+file's activation scales get the same scale check, naming the site.
 
 "XCKP1" stores float32 tensors. "XCKQ1" stores every tensor as int8 with a
 per-tensor symmetric scale in the index entry, plus calibrated activation
@@ -128,6 +129,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_scale(value) -> bool:
+    """A finite, positive, non-bool number: a usable quantization scale."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value) and value > 0.0
+
+
 def _index_span(path, name: str, entry, payload_len: int, quantized: bool):
     """(start, end, shape, dtype) of one tensor index entry, checked against
     the payload: any failed check is a DataError naming the tensor."""
@@ -148,8 +155,7 @@ def _index_span(path, name: str, entry, payload_len: int, quantized: bool):
         raise bad(f"has bad offset {start!r}")
     if quantized:
         scale = entry.get("scale")
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)) \
-                or not (math.isfinite(scale) and scale > 0.0):
+        if not _is_scale(scale):
             raise bad(f"has bad scale {scale!r}")
     end = start + math.prod(shape) * dtype.itemsize
     if end > payload_len:
@@ -223,8 +229,13 @@ def load_quantized(path) -> tuple[ModelParams, dict[str, float], dict]:
         scale = float(entry["scale"])
         tensors[name] = Tensor((arr.astype(np.float32) * np.float32(scale)), requires_grad=False)
     params = ModelParams(config, tensors)
-    scales = {site: float(s) for site, s in header.get("activation_scales", {}).items()}
-    return params, scales, header
+    scales = header.get("activation_scales", {})
+    if not isinstance(scales, dict):
+        raise DataError(f"{path}: activation_scales is not an object")
+    for site, scale in scales.items():
+        if not _is_scale(scale):
+            raise DataError(f"{path}: activation site {site!r} has bad scale {scale!r}")
+    return params, {site: float(scale) for site, scale in scales.items()}, header
 
 
 def payload_bytes(path, magic: bytes) -> int:

@@ -17,8 +17,6 @@ import argparse
 import json
 import logging
 import resource
-import shlex
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -38,7 +36,6 @@ from .catalogue import EventLabel, GameId, parse_game, parse_label
 from .checkpoint import MAGIC_FP32, MAGIC_QUANT, load_checkpoint
 from .config import RunConfig, describe, load_run_config
 from .detection import (
-    HighlightEdl,
     SecondPrediction,
     build_edl,
     classify_session,
@@ -53,7 +50,7 @@ from .errors import (
     MalformedJson,
     UnknownLabel,
 )
-from .frames import ClipStore, DecoderSource
+from .frames import ClipStore, cutter, decoder
 from .metrics import evaluation_report
 from .parallel import blas_threads, worker_plan
 from .params import ModelParams
@@ -71,8 +68,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _store(run: RunConfig) -> ClipStore:
-    decoder = DecoderSource(run.decoder) if run.decoder else None
-    return ClipStore(data_root=Path(run.data_root), preprocess=run.preprocess, decoder=decoder)
+    source = decoder(run.decoder) if run.decoder is not None else None
+    return ClipStore(data_root=Path(run.data_root), preprocess=run.preprocess, decoder=source)
 
 
 def _catalogue(run: RunConfig):
@@ -296,7 +293,7 @@ def _read_predictions(path: str) -> list[SecondPrediction]:
 
 
 def cmd_highlight(args, run: RunConfig) -> int:
-    if args.cut_dir and not run.cutter:
+    if args.cut_dir and run.cutter is None:
         raise ConfigError("--cut-dir needs a `cutter` command in the run config")
     game = parse_game(args.game)
     preds = _read_predictions(args.predictions)
@@ -309,32 +306,12 @@ def cmd_highlight(args, run: RunConfig) -> int:
     _write_text(args.out, edl.to_json())
     logger.info("%d cuts -> %s", len(edl.cuts), args.out)
     if args.cut_dir:
-        _run_cutter(run, edl, args.cut_dir)
+        command = cutter(run.cutter)
+        Path(args.cut_dir).mkdir(parents=True, exist_ok=True)
+        for i, cut in enumerate(edl.cuts):
+            command.run(input=edl.source, start=repr(cut.start_s), dur=repr(cut.end_s - cut.start_s),
+                        output=str(Path(args.cut_dir) / f"cut_{i:04d}.rgbc"))
     return 0
-
-
-def _run_cutter(run: RunConfig, edl: HighlightEdl, cut_dir: str) -> None:
-    template = shlex.split(run.cutter)
-    for placeholder in ("{input}", "{start}", "{dur}", "{output}"):
-        if not any(placeholder in part for part in template):
-            raise ConfigError(f"cutter template lacks {placeholder}")
-    Path(cut_dir).mkdir(parents=True, exist_ok=True)
-    for i, cut in enumerate(edl.cuts):
-        out_path = Path(cut_dir) / f"cut_{i:04d}.rgbc"
-        argv = [
-            part.format(
-                input=edl.source,
-                start=repr(cut.start_s),
-                dur=repr(cut.end_s - cut.start_s),
-                output=str(out_path),
-            )
-            for part in template
-        ]
-        proc = subprocess.run(argv, capture_output=True)
-        if proc.returncode != 0:
-            raise DataResolutionError(
-                f"cutter exited {proc.returncode} for cut {i}: {proc.stderr[:200]!r}"
-            )
 
 
 def cmd_bench(args, run: RunConfig) -> int:

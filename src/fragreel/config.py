@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .background import SamplerConfig
 from .errors import ConfigError
-from .frames import PreprocessConfig
+from .frames import PreprocessConfig, cutter, decoder
 from .params import GROUP_OF_PREFIX, EncoderConfig, HeadConfig, ModelConfig, TextConfig
 from .training import TrainConfig
 
@@ -73,6 +73,10 @@ class RunConfig:
         bad = self.train.freeze - VALID_GROUPS
         if bad:
             raise ConfigError(f"unknown parameter groups in train.freeze: {sorted(bad)}")
+        # built here only to check them, so a bad template fails before any command runs
+        for template, command in ((self.decoder, decoder), (self.cutter, cutter)):
+            if template is not None:
+                command(template)
 
     @property
     def model_config(self) -> ModelConfig:
@@ -136,6 +140,14 @@ def load_run_config(path: str | None = None, overrides: dict | None = None) -> R
     seed = payload.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    jobs = payload.get("jobs", 1)
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
+    if not isinstance(payload.get("data_root", "."), str):
+        raise ConfigError(f"data_root must be a string, got {payload['data_root']!r}")
+    for name in ("catalogue", "decoder", "cutter"):
+        if not isinstance(payload.get(name), (str, type(None))):
+            raise ConfigError(f"{name} must be a string or null, got {payload[name]!r}")
 
     kwargs: dict = {}
     for name in ("seed", "jobs", "data_root", "catalogue", "decoder", "cutter"):

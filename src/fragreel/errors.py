@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Exit-code mapping used by the CLI: ConfigError -> 2, DataError -> 3.
-Everything else is a programming error and propagates.
+Exit-code mapping used by the CLI: ConfigError -> 2; every other
+FragreelError (DataError and the rest) and every OSError -> 3. Any other
+exception is a programming error and propagates.
 """
 
 

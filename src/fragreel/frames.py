@@ -4,7 +4,8 @@ Raw frames arrive either from ".rgbc" files (a trivial uncompressed RGB24
 container used by tests and fixtures) or from an external decoder subprocess
 that writes the same format to stdout. Preprocessing selects a fixed number
 of frames by uniform striding, resizes them bilinearly to a square, and
-normalizes each channel on the 0-255 scale.
+normalizes each channel on the 0-255 scale. ``Command`` runs the external
+programs, the decoder and the highlight cutter, from checked templates.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import mmap
 import os
 import shlex
+import string
 import struct
 import subprocess
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ import numpy as np
 from .annotations import ClipRef
 from .catalogue import GameId
 from .errors import (
+    ConfigError,
     DataResolutionError,
     EmptyClip,
     MalformedJson,
@@ -194,32 +197,46 @@ def preprocess_clip(raw: RawClip, cfg: PreprocessConfig) -> np.ndarray:
     return normalize(resized, cfg)
 
 
-class DecoderSource:
-    """External decoder invoked once per clip.
+class Command:
+    """An external command from a template split like a POSIX shell line.
 
-    The command template must contain {input} {start} {dur} placeholders and
-    the process must write a valid RGBC stream to stdout, exiting 0. Clips
-    are fetched on the ``jobs`` workers of ``parallel.map_ordered``, which
-    therefore also bound the decoder processes running at once.
+    Its format fields must be exactly ``placeholders``, each bare as ``{name}``
+    (a literal brace is ``{{``). All checks run here: a bad template is a
+    ConfigError naming ``key`` before anything runs.
     """
 
-    def __init__(self, command_template: str):
-        self._template = shlex.split(command_template)
-        for placeholder in ("{input}", "{start}", "{dur}"):
-            if not any(placeholder in part for part in self._template):
-                raise ValueError(f"decoder template lacks {placeholder}")
+    def __init__(self, key: str, template, placeholders: tuple[str, ...]):
+        self.key = key
+        if not isinstance(template, str):
+            raise ConfigError(f"{key} must be a command string, got {template!r}")
+        try:
+            self.argv = shlex.split(template)
+            fields = {(name, spec, conv) for part in self.argv
+                      for _, name, spec, conv in string.Formatter().parse(part) if name is not None}
+        except ValueError as exc:
+            raise ConfigError(f"{key} template {template!r}: {exc}") from exc
+        if fields != {(name, "", None) for name in placeholders}:
+            wanted = " ".join(f"{{{name}}}" for name in placeholders)
+            raise ConfigError(f"{key} template {template!r} must use exactly {wanted}")
 
-    def fetch(self, path: str | Path, start_s: float, duration_s: float) -> RawClip:
-        argv = [
-            part.format(input=str(path), start=repr(float(start_s)), dur=repr(float(duration_s)))
-            for part in self._template
-        ]
+    def run(self, **values: str) -> bytes:
+        """Fill the placeholders, run the process and return its stdout."""
+        argv = [part.format(**values) for part in self.argv]
         proc = subprocess.run(argv, capture_output=True)
         if proc.returncode != 0:
-            raise DataResolutionError(
-                f"decoder exited {proc.returncode} for {path}: {proc.stderr[:200]!r}"
-            )
-        return read_rgbc(proc.stdout)
+            raise DataResolutionError(f"{self.key} exited {proc.returncode}: {shlex.join(argv)}: "
+                                      f"{proc.stderr[:200]!r}")
+        return proc.stdout
+
+
+def decoder(template) -> Command:
+    """Writes the RGBC stream of ``{dur}`` seconds of ``{input}`` from ``{start}`` to stdout."""
+    return Command("decoder", template, ("input", "start", "dur"))
+
+
+def cutter(template) -> Command:
+    """Cuts ``{dur}`` seconds of ``{input}`` from ``{start}`` into ``{output}``."""
+    return Command("cutter", template, ("input", "start", "dur", "output"))
 
 
 @dataclass
@@ -232,7 +249,7 @@ class ClipStore:
 
     data_root: Path
     preprocess: PreprocessConfig
-    decoder: DecoderSource | None = None
+    decoder: Command | None = None
 
     def resolve(self, game: GameId, video: str) -> Path:
         base = Path(self.data_root) / game.value
@@ -266,7 +283,10 @@ class ClipStore:
         if path.suffix == ".rgbc":
             second = partial(extract_second, read_rgbc_file(path))
         elif self.decoder is not None:
-            second = partial(self.decoder.fetch, path, duration_s=1.0)
+            # clips are fetched on the ``jobs`` workers of parallel.map_ordered,
+            # which therefore also bound the decoder processes running at once
+            def second(start_s: float) -> RawClip:
+                return read_rgbc(self.decoder.run(input=str(path), start=repr(float(start_s)), dur="1.0"))
         else:
             raise DataResolutionError(f"{path} is not .rgbc and no decoder is configured")
         return lambda start_s: preprocess_clip(second(start_s), self.preprocess)

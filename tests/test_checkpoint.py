@@ -266,6 +266,24 @@ class TestQuantizedCheckpoints:
         assert payload_bytes(path, MAGIC_QUANT) == param_count(params.config)
 
 
+class TestActivationScales:
+    @pytest.mark.parametrize("scale", ["abc", None, 0, -1.0, float("nan")],
+                             ids=["string", "null", "zero", "negative", "nan"])
+    def test_bad_activation_scale_is_data_error_naming_the_site(self, tmp_path, params, scale):
+        path = tmp_path / "m.xckq"
+        save_quantized(path, params.config, random_qtensors(params), {"site:in": 0.5}, 0, None)
+        rewrite_header(path, lambda h: h["activation_scales"].update({"site:in": scale}))
+        with pytest.raises(DataError, match="m.xckq: activation site 'site:in' has bad scale"):
+            load_quantized(path)
+
+    def test_activation_scales_must_be_an_object(self, tmp_path, params):
+        path = tmp_path / "m.xckq"
+        save_quantized(path, params.config, random_qtensors(params), {"site:in": 0.5}, 0, None)
+        rewrite_header(path, lambda h: h.update(activation_scales=[0.5]))
+        with pytest.raises(DataError, match="m.xckq: activation_scales is not an object"):
+            load_quantized(path)
+
+
 class TestOlderHeaderKeys:
     """Files that still carry the dropped ``text_version`` header key and the
     per-tensor ``zero_point`` index key load as if those keys were absent."""

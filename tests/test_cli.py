@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline over a synthetic two-video dataset."""
 
 import json
+import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -297,6 +298,72 @@ class TestCutter:
             "--out", tmp_path / "edl.json", "--cut-dir", tmp_path / "cuts",
         ])
         assert rc == 2
+
+
+def kill_predictions(path: Path, seconds: int = 3) -> Path:
+    """Predictions that call every second a confident Kill, so highlight cuts."""
+    probs = {"Background": 0.1, "Kill": 0.9}
+    lines = [json.dumps({"second": i, "label": "Kill", "probability": 0.9, "probs": probs})
+             for i in range(seconds)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+# Each is malformed once filled in as a decoder or a cutter template.
+BAD_TEMPLATES = pytest.mark.parametrize("key, template", [
+    ("decoder", "ffmpeg -i {input}"),
+    ("decoder", "dec {input} {start} {dur} {x}"),
+    ("decoder", "dec {input} {start} {dur} {"),
+    ("decoder", 'dec {input} {start} {dur} "'),
+    ("cutter", "tool {input}"),
+    ("cutter", "tool {input} {start} {dur} {output} {extra}"),
+    ("cutter", "tool {input} {start} {dur} {output} {"),
+    ("cutter", 'tool {input} {start} {dur} {output} "'),
+], ids=["decoder_missing", "decoder_unknown", "decoder_lone_brace", "decoder_open_quote",
+        "cutter_missing", "cutter_unknown", "cutter_lone_brace", "cutter_open_quote"])
+
+
+class TestCommandTemplates:
+    @BAD_TEMPLATES
+    def test_bad_template_is_config_error_before_any_write(self, env, tmp_path, capsys,
+                                                           key, template):
+        config = json.loads(env["config"].read_text())
+        config[key] = template
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out.json"
+        if key == "decoder":
+            argv = ["sample-background", "--config", cfg_path, "--game", GAME, "--out", out]
+        else:
+            argv = ["highlight", "--config", cfg_path,
+                    "--predictions", kill_predictions(tmp_path / "preds.jsonl"),
+                    "--game", GAME, "--out", out, "--cut-dir", tmp_path / "cuts"]
+        rc = run_cli(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not (tmp_path / "cuts").exists()
+
+    def test_failing_cutter_is_data_error_naming_its_command_line(self, env, tmp_path, capsys):
+        helper = tmp_path / "cutter.py"
+        helper.write_text("import sys\nsys.exit(4)\n")
+        config = json.loads(env["config"].read_text())
+        config["cutter"] = f"{sys.executable} {helper} {{input}} {{start}} {{dur}} {{output}}"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = run_cli([
+            "highlight", "--config", cfg_path,
+            "--predictions", kill_predictions(tmp_path / "preds.jsonl"),
+            "--game", GAME, "--video", "alpha.rgbc", "--session-len", 3,
+            "--out", tmp_path / "edl.json", "--cut-dir", tmp_path / "cuts",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3
+        first_cut = tmp_path / "cuts" / "cut_0000.rgbc"
+        argv = [sys.executable, str(helper), "alpha.rgbc", "0.0", "3.0", str(first_cut)]
+        assert f"cutter exited 4: {shlex.join(argv)}" in err
 
 
 class TestExitCodes:

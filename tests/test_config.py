@@ -125,6 +125,20 @@ class TestLoadRunConfig:
             with pytest.raises(ConfigError, match="seed"):
                 load_run_config(write_config(tmp_path, {"seed": bad}))
 
+    @pytest.mark.parametrize("payload", [
+        {"jobs": 2.5},
+        {"jobs": True},
+        {"data_root": 5},
+        {"catalogue": 7},
+        {"decoder": ["dec", "{input}", "{start}", "{dur}"]},
+        {"cutter": 3},
+    ], ids=["fractional_jobs", "bool_jobs", "numeric_data_root",
+            "numeric_catalogue", "list_decoder", "numeric_cutter"])
+    def test_mistyped_scalar_rejected(self, tmp_path, payload):
+        (key,) = payload
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            load_run_config(write_config(tmp_path, payload))
+
     def test_freeze_list_becomes_frozenset(self, tmp_path):
         payload = {"train": {"freeze": ["text_encoder"]}}
         run = load_run_config(write_config(tmp_path, payload))

@@ -14,10 +14,16 @@ import pytest
 from fragreel import frames
 from fragreel.annotations import ClipRef
 from fragreel.catalogue import EventLabel, GameId
-from fragreel.errors import DataResolutionError, EmptyClip, MalformedJson, ZeroDimension
+from fragreel.errors import (
+    ConfigError,
+    DataResolutionError,
+    EmptyClip,
+    MalformedJson,
+    ZeroDimension,
+)
 from fragreel.frames import (
     ClipStore,
-    DecoderSource,
+    Command,
     PreprocessConfig,
     RawClip,
     extract_second,
@@ -257,7 +263,7 @@ class TestClipStore:
         store = ClipStore(
             data_root=tmp_path,
             preprocess=PreprocessConfig(t_frames=2, side=4),
-            decoder=DecoderSource("decode {input} {start} {dur}"),
+            decoder=frames.decoder("decode {input} {start} {dur}"),
         )
         with pytest.raises(DataResolutionError, match="only an .rgbc file") as info:
             store.duration(GameId.CSGO, "v.mp4")
@@ -280,25 +286,27 @@ sys.stdout.buffer.write(write_rgbc(RawClip(frames=frames, fps=Fraction(4))))
 
 
 class TestDecoderSource:
+    """The decoder `Command` as the source of a non-.rgbc video's clips."""
+
     def make(self, tmp_path, script=DECODER_SCRIPT):
         helper = tmp_path / "decode.py"
         helper.write_text(script)
-        return DecoderSource(f"{sys.executable} {helper} {{input}} {{start}} {{dur}}")
+        return frames.decoder(f"{sys.executable} {helper} {{input}} {{start}} {{dur}}")
 
     def test_fetch_decodes_stream(self, tmp_path):
         decoder = self.make(tmp_path)
-        clip = decoder.fetch("ignored.mp4", 7.0, 1.0)
+        clip = read_rgbc(decoder.run(input="ignored.mp4", start="7.0", dur="1.0"))
         assert clip.frames.shape == (4, 4, 4, 3)
         assert np.all(clip.frames == 7)
 
     def test_missing_placeholder_rejected(self):
-        with pytest.raises(ValueError):
-            DecoderSource("decode {input} {start}")
+        with pytest.raises(ConfigError, match="decoder template"):
+            frames.decoder("decode {input} {start}")
 
     def test_nonzero_exit_raises(self, tmp_path):
         decoder = self.make(tmp_path, script="import sys; sys.exit(9)")
-        with pytest.raises(DataResolutionError):
-            decoder.fetch("x.mp4", 0.0, 1.0)
+        with pytest.raises(DataResolutionError, match=r"decoder exited 9: .* x\.mp4 0\.0 1\.0"):
+            decoder.run(input="x.mp4", start="0.0", dur="1.0")
 
     def test_store_routes_non_rgbc_through_decoder(self, tmp_path):
         folder = tmp_path / "CSGO"
@@ -313,3 +321,21 @@ class TestDecoderSource:
         frames = np.full((4, 4, 4, 3), 3, dtype=np.uint8)
         want = preprocess_clip(RawClip(frames=frames, fps=Fraction(4)), store.preprocess)
         np.testing.assert_array_equal(got, want)
+
+
+class TestCommand:
+    def test_literal_braces_reach_the_process(self):
+        echo = Command("echo", f"{sys.executable} -c 'import sys; print(sys.argv[1:])' "
+                               "{{x}} {word}", ("word",))
+        assert echo.run(word="hi").decode().strip() == "['{x}', 'hi']"
+
+    @pytest.mark.parametrize("template", [
+        5,
+        "echo {word!r}",
+        "echo {word:>4}",
+        "echo {word.upper}",
+        "echo {}",
+    ], ids=["not_a_string", "conversion", "format_spec", "attribute", "positional"])
+    def test_anything_but_bare_placeholders_rejected(self, template):
+        with pytest.raises(ConfigError, match="^echo"):
+            Command("echo", template, ("word",))
