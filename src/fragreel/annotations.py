@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import seeds
 from .catalogue import EventLabel, GameId, parse_game, parse_label
-from .errors import DurationTooShort, MalformedJson, NegativeInterval
+from .errors import DataError, DurationTooShort, MalformedJson, NegativeInterval
 
 logger = logging.getLogger(__name__)
 
@@ -52,6 +52,12 @@ class ClipRef:
     label: EventLabel
     game: GameId
     split: str  # "train" | "test"
+
+    def __post_init__(self):
+        if not 0 <= self.clip_start_s < math.inf:  # also rejects NaN
+            raise DataError(f"clip of {self.video!r} has bad start {self.clip_start_s}")
+        if self.split not in ("train", "test"):
+            raise DataError(f"clip of {self.video!r} has split {self.split!r}, not train or test")
 
 
 @dataclass(frozen=True)
@@ -113,15 +119,16 @@ def parse_via(json_bytes: bytes, game: GameId) -> list[AnnotatedEvent]:
     return events
 
 
-def event_to_clip(event: AnnotatedEvent, video_duration_s: float, split: str = "train") -> ClipRef:
-    """One-second clip centered at the event midpoint, clamped into the video."""
+def event_to_clip(event: AnnotatedEvent, video_duration_s: float) -> ClipRef:
+    """One-second clip centered at the event midpoint, clamped into the video;
+    its split is train until ``build_manifest`` assigns one."""
     if video_duration_s < 1.0:
         raise DurationTooShort(
             f"{event.video!r} is {video_duration_s}s long; need at least 1s"
         )
     midpoint = 0.5 * (event.start_s + event.end_s)
     start = min(max(midpoint - 0.5, 0.0), video_duration_s - 1.0)
-    return ClipRef(event.video, start, event.label, event.game, split)
+    return ClipRef(event.video, start, event.label, event.game, "train")
 
 
 def build_manifest(
@@ -161,8 +168,7 @@ def build_manifest(
         order = rng.permutation(n)
         test_idx = set(order[:n_test].tolist())
         for i, clip in enumerate(members):
-            split = "test" if i in test_idx else "train"
-            entries.append(ClipRef(clip.video, clip.clip_start_s, clip.label, clip.game, split))
+            entries.append(replace(clip, split="test" if i in test_idx else "train"))
 
     entries.sort(key=lambda c: (c.game.value, c.label.value, c.video, c.clip_start_s))
     return DatasetManifest(seed=seed, entries=tuple(entries))
@@ -186,6 +192,12 @@ def manifest_to_json(manifest: DatasetManifest) -> str:
     return json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _label_and_game(record: dict) -> dict:
+    """The game of a record and its label, checked against that game."""
+    game = parse_game(record["game"])
+    return {"label": parse_label(str(record["label"]), game), "game": game}
+
+
 def manifest_from_json(text: str | bytes) -> DatasetManifest:
     try:
         payload = json.loads(text)
@@ -193,16 +205,15 @@ def manifest_from_json(text: str | bytes) -> DatasetManifest:
             ClipRef(
                 video=e["video"],
                 clip_start_s=float(e["clip_start_s"]),
-                label=EventLabel(e["label"]),
-                game=parse_game(e["game"]),
                 split=e["split"],
+                **_label_and_game(e),
             )
             for e in payload["entries"]
         )
         return DatasetManifest(
             seed=int(payload["seed"]), entries=entries, version=payload["version"]
         )
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise MalformedJson(f"bad manifest: {exc}") from exc
 
 
@@ -228,10 +239,9 @@ def events_from_json(text: str | bytes) -> list[AnnotatedEvent]:
                 video=e["video"],
                 start_s=float(e["start_s"]),
                 end_s=float(e["end_s"]),
-                label=EventLabel(e["label"]),
-                game=parse_game(e["game"]),
+                **_label_and_game(e),
             )
             for e in payload
         ]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise MalformedJson(f"bad events file: {exc}") from exc

@@ -14,7 +14,7 @@ file's activation scales get the same scale check, naming the site.
 
 "XCKP1" stores float32 tensors. "XCKQ1" stores every tensor as int8 with a
 per-tensor symmetric scale in the index entry, plus calibrated activation
-scales under a dedicated header key.
+scales under a dedicated header key. The int8 arithmetic is ``quantize``'s.
 
 Format version 2 dropped the query and key tensors of the prompting blocks,
 which could not affect any output; version-1 files are rejected. Loaders
@@ -218,24 +218,19 @@ def save_quantized(
     write_container(path, MAGIC_QUANT, header, arrays, tensor_extras=extras)
 
 
-def load_quantized(path) -> tuple[ModelParams, dict[str, float], dict]:
-    """Load a quantized checkpoint as dequantized float32 inference params."""
+def load_quantized(path) -> tuple[ModelConfig, dict, dict[str, float], dict]:
+    """A quantized file's config, int8 tensors with scales, activation scales, header."""
     header, arrays = read_container(path, MAGIC_QUANT)
     config = _header_config(header, path)
     _check_against_config(config, arrays, path)
-    tensors: dict[str, Tensor] = {}
-    for name, arr in arrays.items():
-        entry = header["tensors"][name]
-        scale = float(entry["scale"])
-        tensors[name] = Tensor((arr.astype(np.float32) * np.float32(scale)), requires_grad=False)
-    params = ModelParams(config, tensors)
     scales = header.get("activation_scales", {})
     if not isinstance(scales, dict):
         raise DataError(f"{path}: activation_scales is not an object")
     for site, scale in scales.items():
         if not _is_scale(scale):
             raise DataError(f"{path}: activation site {site!r} has bad scale {scale!r}")
-    return params, {site: float(scale) for site, scale in scales.items()}, header
+    qtensors = {name: (arr, float(header["tensors"][name]["scale"])) for name, arr in arrays.items()}
+    return config, qtensors, {site: float(scale) for site, scale in scales.items()}, header
 
 
 def payload_bytes(path, magic: bytes) -> int:

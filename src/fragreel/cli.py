@@ -33,7 +33,6 @@ from .annotations import (
     parse_via,
 )
 from .catalogue import EventLabel, GameId, parse_game, parse_label
-from .checkpoint import MAGIC_FP32, MAGIC_QUANT, load_checkpoint
 from .config import RunConfig, describe, load_run_config
 from .detection import (
     SecondPrediction,
@@ -54,7 +53,7 @@ from .frames import ClipStore, cutter, decoder
 from .metrics import evaluation_report
 from .parallel import blas_threads, worker_plan
 from .params import ModelParams
-from .quantize import load_quantized_model, quantize_model
+from .quantize import load_model, quantize_model
 from .textmodel import PromptCache, load_catalogue, prompt_set_for
 from .training import eval_records, materialize_examples, train
 
@@ -76,16 +75,12 @@ def _catalogue(run: RunConfig):
     return load_catalogue(run.catalogue)
 
 
-def _load_model(path: str):
-    """FP32 or quantized checkpoint -> (params, activation qctx or None)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-    if magic == MAGIC_FP32:
-        params, _header = load_checkpoint(path)
-        return params, None
-    if magic == MAGIC_QUANT:
-        return load_quantized_model(path)
-    raise DataError(f"{path}: unrecognized checkpoint magic {magic!r}")
+def _read(path: str, parse):
+    """``parse`` applied to the bytes of a file; a data error names the file."""
+    try:
+        return parse(Path(path).read_bytes())
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _parse_targets(spec: str, game: GameId) -> set[EventLabel]:
@@ -114,7 +109,7 @@ class SessionClips:
 def _session(args, run: RunConfig):
     """Model, activation qctx, prompt set and the clips of ``args.video``."""
     game = parse_game(args.game)
-    params, qctx = _load_model(args.checkpoint)
+    params, qctx = load_model(args.checkpoint)
     store = _store(run)
     duration = store.duration(game, args.video)
     seconds = int(duration) if args.seconds is None else min(args.seconds, int(duration))
@@ -152,10 +147,8 @@ def cmd_sample_background(args, run: RunConfig) -> int:
 
 
 def cmd_build_manifest(args, run: RunConfig) -> int:
-    events = events_from_json(Path(args.annotations).read_bytes())
-    backgrounds = (
-        events_from_json(Path(args.backgrounds).read_bytes()) if args.backgrounds else []
-    )
+    events = _read(args.annotations, events_from_json)
+    backgrounds = _read(args.backgrounds, events_from_json) if args.backgrounds else []
     store = _store(run)
     durations: dict[str, float] = {}
     for event in [*events, *backgrounds]:
@@ -176,7 +169,7 @@ def _split_examples(manifest, store, run: RunConfig):
 
 
 def cmd_train(args, run: RunConfig) -> int:
-    manifest = manifest_from_json(Path(args.manifest).read_bytes())
+    manifest = _read(args.manifest, manifest_from_json)
     store = _store(run)
     train_set, val_set = _split_examples(manifest, store, run)
     params = ModelParams.init(run.model_config, run.seed)
@@ -206,13 +199,13 @@ def cmd_train(args, run: RunConfig) -> int:
 
 
 def cmd_eval(args, run: RunConfig) -> int:
-    manifest = manifest_from_json(Path(args.manifest).read_bytes())
+    manifest = _read(args.manifest, manifest_from_json)
     store = _store(run)
     entries = [e for e in manifest.entries if args.split in ("all", e.split)]
     if not entries:
         raise EmptyInput(f"manifest has no {args.split} entries")
     examples = materialize_examples(entries, store, run.jobs)
-    params, qctx = _load_model(args.checkpoint)
+    params, qctx = load_model(args.checkpoint)
     records = eval_records(examples, params, _catalogue(run), PromptCache(), qctx)
     report = evaluation_report(records)
     text = json.dumps(report, sort_keys=True, ensure_ascii=False) + "\n"
@@ -222,7 +215,7 @@ def cmd_eval(args, run: RunConfig) -> int:
 
 
 def cmd_quantize(args, run: RunConfig) -> int:
-    manifest = manifest_from_json(Path(args.manifest).read_bytes())
+    manifest = _read(args.manifest, manifest_from_json)
     store = _store(run)
     pool = [e for e in manifest.entries if e.split == "test"] or list(manifest.entries)
     picks = pool[: run.quantizer.calib_count]
@@ -303,14 +296,15 @@ def cmd_highlight(args, run: RunConfig) -> int:
     session_len = args.session_len if args.session_len is not None else float(len(preds))
     decisions = slide_windows(preds, targets)
     edl = build_edl(decisions, session_len, source=args.video or "")
-    _write_text(args.out, edl.to_json())
-    logger.info("%d cuts -> %s", len(edl.cuts), args.out)
     if args.cut_dir:
         command = cutter(run.cutter)
         Path(args.cut_dir).mkdir(parents=True, exist_ok=True)
         for i, cut in enumerate(edl.cuts):
             command.run(input=edl.source, start=repr(cut.start_s), dur=repr(cut.end_s - cut.start_s),
                         output=str(Path(args.cut_dir) / f"cut_{i:04d}.rgbc"))
+    # written last, so a list on disk means every cut of it was made
+    _write_text(args.out, edl.to_json())
+    logger.info("%d cuts -> %s", len(edl.cuts), args.out)
     return 0
 
 

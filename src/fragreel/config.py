@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -93,6 +95,49 @@ _SECTION_TYPES = {
 }
 
 
+_SIMPLE_TYPES = {
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    str: ("a string", str),
+    type(None): ("null", type(None)),
+}
+
+
+def _wanted(hint) -> str | None:
+    """What a JSON value for a field declared ``hint`` must be, or None if
+    it is a dataclass section (checked on its own)."""
+    if isinstance(hint, types.UnionType):
+        return " or ".join(_wanted(h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        return f"a list of {len(typing.get_args(hint))} numbers"
+    if hint is frozenset:
+        return "a list of strings"
+    return _SIMPLE_TYPES[hint][0] if hint in _SIMPLE_TYPES else None
+
+
+def _fits(hint, value) -> bool:
+    """Whether a JSON value fits a field declared ``hint``. A bool is no
+    number: JSON ``true`` is not 1."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(h, value) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return isinstance(value, list) and len(value) == len(args) \
+            and all(_fits(h, v) for h, v in zip(args, value))
+    if hint is frozenset:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, _SIMPLE_TYPES[hint][1]) and not isinstance(value, bool)
+
+
+def _check_types(cls, payload: dict, prefix: str) -> None:
+    """Each value of ``payload`` fits the declared type of its field of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    for key, value in payload.items():
+        wanted = _wanted(hints[key])
+        if wanted is not None and not _fits(hints[key], value):
+            raise ConfigError(f"{prefix}{key} must be {wanted}, got {value!r}")
+
+
 def _build_section(cls, payload, where: str, **defaults):
     if not isinstance(payload, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -100,11 +145,10 @@ def _build_section(cls, payload, where: str, **defaults):
     unknown = sorted(set(payload) - allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    _check_types(cls, payload, f"{where}.")
     kwargs = dict(defaults)
     for key, value in payload.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -137,22 +181,12 @@ def load_run_config(path: str | None = None, overrides: dict | None = None) -> R
     if unknown:
         raise ConfigError(f"config: unknown keys {unknown}")
 
+    _check_types(RunConfig, payload, "")
     seed = payload.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    jobs = payload.get("jobs", 1)
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
-    if not isinstance(payload.get("data_root", "."), str):
-        raise ConfigError(f"data_root must be a string, got {payload['data_root']!r}")
-    for name in ("catalogue", "decoder", "cutter"):
-        if not isinstance(payload.get(name), (str, type(None))):
-            raise ConfigError(f"{name} must be a string or null, got {payload[name]!r}")
 
-    kwargs: dict = {}
-    for name in ("seed", "jobs", "data_root", "catalogue", "decoder", "cutter"):
-        if name in payload:
-            kwargs[name] = payload[name]
+    kwargs = {name: value for name, value in payload.items() if name not in _SECTION_TYPES}
     for name, cls in _SECTION_TYPES.items():
         if name in payload:
             kwargs[name] = _build_section(cls, payload[name], f"config.{name}")

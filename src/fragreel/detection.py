@@ -19,7 +19,7 @@ from .autodiff import no_grad
 from .catalogue import EventLabel, GameId, parse_label
 from .errors import DataError, EmptyInput, MalformedJson
 from .parallel import map_ordered
-from .textmodel import classify, predict_label
+from .textmodel import classify, first_highest, predict_label
 from .videomodel import encode_video
 
 WINDOW_S = 3
@@ -134,7 +134,7 @@ def slide_windows(preds: list[SecondPrediction], targets) -> list[WindowDecision
         members = preds[start : start + WINDOW_S]
         hits = [p for p in members if p.label in targets]
         if hits:
-            best = max(hits, key=lambda p: (p.probability, -p.second_index))
+            best = first_highest(hits, key=lambda p: p.probability)
             decisions.append(
                 WindowDecision(
                     start_s=start,
@@ -235,7 +235,7 @@ def build_edl(
     for cut in raw:
         if merged and cut.start_s <= merged[-1].end_s:
             prev = merged[-1]
-            keep = prev if prev.score >= cut.score else cut
+            keep = first_highest((prev, cut), key=lambda c: c.score)
             merged[-1] = Cut(
                 start_s=prev.start_s,
                 end_s=max(prev.end_s, cut.end_s),

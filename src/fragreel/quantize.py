@@ -1,12 +1,12 @@
 """Post-training INT8 quantization, simulated in float.
 
-Weights quantize per-tensor with a symmetric scale (max|x|/127, zero point
-0, round half to even, clamp to ±127) and are stored as int8; inference
-dequantizes them back to float32 at load. Activations entering matmuls are
-calibrated by recording max|x| per site on forward passes, then fake-
-quantized (quantize + dequantize) at the same sites during simulated
-quantized inference. Everything between matmuls (layernorm, softmax,
-residual adds) stays float32.
+The one int8 rule (Jacob et al. 2018): a symmetric per-tensor scale
+(max|x|/127, or 1 for an all-zero range), round half to even, clamp to ±127,
+and level × scale in float32 to dequantize. Weights are stored as int8 with
+their scales; ``load_model`` dequantizes them at load. Activations entering
+matmuls are calibrated by recording max|x| per site on forward passes, then
+fake-quantized at the same sites during simulated quantized inference.
+Everything between matmuls (layernorm, softmax, residual adds) stays float32.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, load_quantized, save_quantized
+from .checkpoint import MAGIC_FP32, MAGIC_QUANT, load_checkpoint, load_quantized, save_quantized
 from .errors import DataError, NonFiniteInput
 from .params import ModelParams
 
@@ -28,24 +28,37 @@ class QuantParams:
     scale: float
 
 
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x))) if x.size else 0.0
+
+
+def _scale_for(max_abs: float) -> float:
+    """The scale that maps ``max_abs`` to QMAX; 1 for an all-zero range."""
+    return max_abs / QMAX if max_abs > 0.0 else 1.0
+
+
+def _levels(x: np.ndarray, scale: float) -> np.ndarray:
+    """``x`` in units of ``scale``, rounded half to even, clamped to ±QMAX."""
+    return np.clip(np.rint(x / scale), -QMAX, QMAX)
+
+
 def quantize_tensor(x: np.ndarray) -> tuple[np.ndarray, QuantParams]:
-    """Per-tensor symmetric int8 quantization; all-zero input gets scale 1."""
+    """Per-tensor symmetric int8 quantization."""
     x = np.asarray(x)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("cannot quantize non-finite tensor")
-    max_abs = float(np.max(np.abs(x))) if x.size else 0.0
-    scale = max_abs / QMAX if max_abs > 0.0 else 1.0
-    q = np.clip(np.rint(x / scale), -QMAX, QMAX).astype(np.int8)
-    return q, QuantParams(scale=scale)
+    scale = _scale_for(_max_abs(x))
+    return _levels(x, scale).astype(np.int8), QuantParams(scale=scale)
 
 
 def dequantize(q: np.ndarray, qp: QuantParams) -> np.ndarray:
-    return (np.asarray(q, dtype=np.float32) * np.float32(qp.scale)).astype(np.float32)
+    return np.asarray(q, dtype=np.float32) * np.float32(qp.scale)
 
 
 def fake_quant(x: np.ndarray, scale: float) -> np.ndarray:
     """Quantize then dequantize, preserving the input dtype."""
-    q = np.clip(np.rint(x / scale), -QMAX, QMAX)
+    # named: numpy's in-place reuse of the levels raised int8 `detect` peak RSS
+    q = _levels(x, scale)
     return (q * scale).astype(x.dtype, copy=False)
 
 
@@ -63,7 +76,7 @@ class ActRecorder:
         self.max_abs: dict[str, float] = {}
 
     def process(self, site: str, data: np.ndarray) -> np.ndarray:
-        seen = float(np.max(np.abs(data))) if data.size else 0.0
+        seen = _max_abs(data)
         prev = self.max_abs.get(site, 0.0)
         if seen > prev:
             self.max_abs[site] = seen
@@ -72,9 +85,7 @@ class ActRecorder:
         return data
 
     def scales(self) -> dict[str, float]:
-        return {
-            site: (m / QMAX if m > 0.0 else 1.0) for site, m in sorted(self.max_abs.items())
-        }
+        return {site: _scale_for(m) for site, m in sorted(self.max_abs.items())}
 
 
 class ActQuant:
@@ -130,6 +141,18 @@ def quantize_model(checkpoint_in, checkpoint_out, calib_clips, prompt_sets) -> d
 
 
 def load_quantized_model(path) -> tuple[ModelParams, ActQuant]:
-    """Quantized checkpoint -> dequantized params plus activation context."""
-    params, scales, _header = load_quantized(path)
-    return params, ActQuant(scales)
+    """Quantized checkpoint -> dequantized float32 params plus activation context."""
+    config, qtensors, scales, _header = load_quantized(path)
+    tensors = {name: Tensor(dequantize(q, QuantParams(s))) for name, (q, s) in qtensors.items()}
+    return ModelParams(config, tensors), ActQuant(scales)
+
+
+def load_model(path) -> tuple[ModelParams, ActQuant | None]:
+    """FP32 or quantized checkpoint -> (params, activation context or None)."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(MAGIC_FP32))
+    if magic == MAGIC_FP32:
+        return load_checkpoint(path)[0], None
+    if magic == MAGIC_QUANT:
+        return load_quantized_model(path)
+    raise DataError(f"{path}: unrecognized checkpoint magic {magic!r}")

@@ -125,24 +125,15 @@ def load_catalogue(path=None) -> dict[GameId, PromptSet]:
     return {game: PromptSet(game, tuple(items)) for game, items in by_game.items()}
 
 
-def prompt_set_for(
-    game: GameId,
-    catalogue: dict[GameId, PromptSet] | None = None,
-    targets: tuple[EventLabel, ...] | None = None,
-) -> PromptSet:
+def prompt_set_for(game: GameId, catalogue: dict[GameId, PromptSet] | None = None) -> PromptSet:
     """The prompt set to classify with for a game.
 
     Unknown games (or games absent from the catalogue) get description-free
-    prompts generated from the template, covering ``targets`` plus
-    Background (default: every label).
+    prompts generated from the template, one per label of the game.
     """
     if catalogue is not None and game in catalogue:
         return catalogue[game]
-    if targets is None:
-        labels = tuple(events_for(game))
-    else:
-        labels = tuple(dict.fromkeys([*targets, EventLabel.BACKGROUND]))
-    prompts = tuple(PromptTemplate(game=game.value, event=label) for label in labels)
+    prompts = tuple(PromptTemplate(game=game.value, event=label) for label in events_for(game))
     return PromptSet(game, prompts)
 
 
@@ -316,7 +307,12 @@ def classify(
     return [(label, float(p)) for label, p in zip(prompt_set.labels, probs)]
 
 
+def first_highest(items, key):
+    """The first of the items with the highest ``key``: the one selection
+    rule, for labels, windows and cuts alike. (``max`` keeps the first.)"""
+    return max(items, key=key)
+
+
 def predict_label(probs: list[tuple[EventLabel, float]]) -> tuple[EventLabel, float]:
     """Argmax over a classify() result; first index wins ties."""
-    best = max(range(len(probs)), key=lambda i: (probs[i][1], -i))
-    return probs[best]
+    return first_highest(probs, key=lambda item: item[1])

@@ -24,7 +24,7 @@ from .checkpoint import save_checkpoint
 from .metrics import EvalRecord, accuracy
 from .parallel import map_ordered
 from .params import ModelParams
-from .textmodel import PromptCache, classification_logits, classify, prompt_set_for
+from .textmodel import PromptCache, classification_logits, classify, first_highest, prompt_set_for
 from .videomodel import encode_video
 
 DEFAULT_FREEZE = frozenset({"text_encoder", "prompting_module"})
@@ -134,7 +134,8 @@ def _batch_loss(batch, params, prompt_sets, cache, text_grad):
         log_probs = log_softmax(logits)
         idx = prompt_set.index_of(ex.label)
         losses.append(reshape(-log_probs[idx], (1,)))
-        if int(np.argmax(log_probs.data)) == idx:
+        scores = log_probs.data
+        if first_highest(range(len(scores)), key=lambda i: scores[i]) == idx:
             correct += 1
     return mean(concat(losses, axis=0)), correct
 

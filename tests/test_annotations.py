@@ -21,6 +21,7 @@ from fragreel.annotations import (
 )
 from fragreel.catalogue import EventLabel, GameId
 from fragreel.errors import (
+    DataError,
     DurationTooShort,
     MalformedJson,
     NegativeInterval,
@@ -125,6 +126,15 @@ class TestAnnotatedEvent:
     def test_non_finite_interval_rejected(self, start, end):
         with pytest.raises(NegativeInterval):
             AnnotatedEvent("v", start, end, EventLabel.KILL, GameId.CSGO)
+
+
+class TestClipRef:
+    @pytest.mark.parametrize("start, split", [
+        (float("nan"), "train"), (float("inf"), "train"), (-0.5, "test"), (1.0, "val"),
+    ], ids=["nan_start", "infinite_start", "negative_start", "unknown_split"])
+    def test_bad_start_or_split_rejected(self, start, split):
+        with pytest.raises(DataError, match="clip of 'v'"):
+            ClipRef("v", start, EventLabel.KILL, GameId.CSGO, split)
 
 
 class TestEventToClip:

@@ -22,6 +22,7 @@ from fragreel.checkpoint import (
     write_container,
 )
 from fragreel.errors import DataError, MalformedJson, ShapeMismatch
+from fragreel.quantize import load_quantized_model
 from fragreel.params import (
     EncoderConfig,
     HeadConfig,
@@ -230,13 +231,23 @@ class TestModelCheckpoints:
 
 class TestQuantizedCheckpoints:
     def test_round_trip_dequantizes(self, tmp_path, params):
+        """The file gives back the stored int8 tensors and scales as saved;
+        ``quantize.load_quantized_model`` dequantizes them."""
         qtensors = random_qtensors(params)
         path = tmp_path / "m.xckq"
         save_quantized(path, params.config, qtensors, {"site:in": 0.5},
                        epoch=9, val_accuracy=0.5)
-        loaded, scales, header = load_quantized(path)
+        config, stored, scales, header = load_quantized(path)
+        assert config == params.config
         assert scales == {"site:in": 0.5}
         assert header["epoch"] == 9
+        assert set(stored) == set(qtensors)
+        for name, (q, scale) in qtensors.items():
+            assert stored[name][0].dtype == np.int8
+            np.testing.assert_array_equal(stored[name][0], q)
+            assert stored[name][1] == scale
+        loaded, qctx = load_quantized_model(path)
+        assert qctx.scales == {"site:in": 0.5}
         for name, (q, scale) in qtensors.items():
             assert loaded[name].dtype == np.float32
             assert not loaded[name].requires_grad
@@ -301,7 +312,7 @@ class TestOlderHeaderKeys:
     def test_quantized_text_version_and_zero_point_ignored(self, tmp_path, params):
         path = tmp_path / "m.xckq"
         save_quantized(path, params.config, random_qtensors(params), {"site:in": 0.5}, 0, None)
-        plain, plain_scales, plain_header = load_quantized(path)
+        _, plain, plain_scales, _ = load_quantized(path)
 
         def edit(header):
             header["text_version"] = 1
@@ -309,11 +320,11 @@ class TestOlderHeaderKeys:
                 entry["zero_point"] = 0
 
         rewrite_header(path, edit)
-        older, older_scales, older_header = load_quantized(path)
+        _, older, older_scales, _ = load_quantized(path)
         assert older_scales == plain_scales
         for name in params.names():
-            assert older[name].data.tobytes() == plain[name].data.tobytes()
-            assert older_header["tensors"][name]["scale"] == plain_header["tensors"][name]["scale"]
+            assert older[name][0].tobytes() == plain[name][0].tobytes()
+            assert older[name][1] == plain[name][1]
 
 
 def test_load_peak_memory_is_about_two_files(tmp_path):

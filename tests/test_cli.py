@@ -366,6 +366,38 @@ class TestCommandTemplates:
         assert f"cutter exited 4: {shlex.join(argv)}" in err
 
 
+    def test_cutter_failing_part_way_leaves_no_list(self, env, tmp_path, capsys):
+        helper = tmp_path / "cutter.py"
+        helper.write_text(
+            "import sys\n"
+            "from pathlib import Path\n"
+            "if sys.argv[4].endswith('cut_0001.rgbc'):\n"
+            "    sys.exit(4)\n"
+            "Path(sys.argv[4]).write_bytes(b'cut')\n"
+        )
+        config = json.loads(env["config"].read_text())
+        config["cutter"] = f"{sys.executable} {helper} {{input}} {{start}} {{dur}} {{output}}"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        # Kill at seconds 0 and 10 only: two cuts, [0, 4] and [6, 14]
+        preds = tmp_path / "preds.jsonl"
+        lines = []
+        for i in range(14):
+            label, p = ("Kill", 0.9) if i in (0, 10) else ("Background", 0.6)
+            lines.append(json.dumps({"second": i, "label": label, "probability": p,
+                                     "probs": {"Background": 1 - p, "Kill": p}}))
+        preds.write_text("\n".join(lines) + "\n")
+        rc = run_cli([
+            "highlight", "--config", cfg_path, "--predictions", preds,
+            "--game", GAME, "--video", "alpha.rgbc", "--session-len", 14,
+            "--out", tmp_path / "edl.json", "--cut-dir", tmp_path / "cuts",
+        ])
+        assert rc == 3
+        assert "cutter exited 4" in capsys.readouterr().err
+        assert (tmp_path / "cuts" / "cut_0000.rgbc").exists()  # the first cut was made
+        assert not (tmp_path / "edl.json").exists()
+
+
 class TestExitCodes:
     def test_missing_config_file_is_config_error(self, env, tmp_path):
         rc = run_cli([
@@ -418,6 +450,17 @@ class TestExitCodes:
             "--game", GAME, "--video", "liar.rgbc", "--out", tmp_path / "x",
         ])
         assert rc == 3
+        assert not (tmp_path / "x").exists()
+
+    def test_unknown_checkpoint_magic_is_data_error_naming_the_file(self, env, tmp_path, capsys):
+        ckpt = tmp_path / "model.bin"
+        ckpt.write_bytes(b"NOTCK" + bytes(16))
+        rc = run_cli([
+            "detect", "--config", env["config"], "--checkpoint", ckpt,
+            "--game", GAME, "--video", "bravo.rgbc", "--out", tmp_path / "x",
+        ])
+        assert rc == 3
+        assert f"{ckpt}: unrecognized checkpoint magic" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_zero_second_session_is_data_error(self, env, tmp_path):
@@ -490,6 +533,45 @@ class TestExitCodes:
         assert "`cutter`" in capsys.readouterr().err
         assert not (tmp_path / "edl.json").exists()
         assert not (tmp_path / "cuts").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "label", "PowerUse"),
+        ("eval", "clip_start_s", float("nan")),
+        ("eval", "clip_start_s", -1.0),
+        ("train", "split", "val"),
+    ], ids=["label_not_in_game", "nan_start", "negative_start", "unknown_split"])
+    def test_bad_manifest_entry_is_data_error_naming_the_file(self, env, tmp_path, capsys,
+                                                              command, key, value):
+        payload = json.loads(env["artifacts"]["manifest"].read_text())
+        payload["entries"][0][key] = value
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = [command, "--config", env["config"], "--manifest", manifest]
+        if command == "train":
+            argv += ["--checkpoint", out]
+        else:
+            argv += ["--checkpoint", env["artifacts"]["checkpoint"], "--split", "all",
+                     "--out", out]
+        rc = run_cli(argv)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"fragreel: {manifest}: " in err
+        assert not out.exists()
+
+    def test_events_label_not_in_game_is_data_error_naming_the_file(self, env, tmp_path, capsys):
+        events = json.loads(env["events"].read_text())
+        events[0]["label"] = "PowerUse"  # not a CSGO event
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(events))
+        rc = run_cli([
+            "build-manifest", "--config", env["config"], "--annotations", path,
+            "--out", tmp_path / "m.json",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"fragreel: {path}: label 'PowerUse' is not valid for game 'CSGO'" in err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("span", [["x", 2.0], 5], ids=["non_numeric", "not_a_list"])
     def test_bad_via_span_is_data_error(self, env, tmp_path, span):

@@ -139,6 +139,32 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             load_run_config(write_config(tmp_path, payload))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "epochs", 2.5),
+        ("train", "batch_size", 1.5),
+        ("encoder", "n_cct_layers", 1.5),
+        ("head", "logit_scale_init", "x"),
+        ("quantizer", "calib_count", 1.5),
+        ("preprocess", "mean", "abc"),
+        ("preprocess", "mean", [1, 2]),
+        ("train", "freeze", "text_encoder"),
+        ("sampler", "buffer_secs", True),
+    ], ids=["fractional_epochs", "fractional_batch_size", "fractional_layer_count",
+            "string_logit_scale", "fractional_calib_count", "string_mean", "short_mean",
+            "string_freeze", "bool_buffer_secs"])
+    def test_mistyped_section_value_rejected(self, tmp_path, section, key, value):
+        with pytest.raises(ConfigError, match=f"^config.{section}.{key} must be"):
+            load_run_config(write_config(tmp_path, {section: {key: value}}))
+
+    def test_values_of_the_declared_types_accepted(self, tmp_path):
+        payload = {"head": {"logit_scale_init": 50}, "sampler": {"target_count": None},
+                   "preprocess": {"mean": [0, 0.5, 1]}, "catalogue": None}
+        run = load_run_config(write_config(tmp_path, payload))
+        assert run.head.logit_scale_init == 50
+        assert run.sampler.target_count is None
+        assert run.preprocess.mean == (0, 0.5, 1)
+        assert run.catalogue is None
+
     def test_freeze_list_becomes_frozenset(self, tmp_path):
         payload = {"train": {"freeze": ["text_encoder"]}}
         run = load_run_config(write_config(tmp_path, payload))

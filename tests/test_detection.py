@@ -5,8 +5,9 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import review_session, toy_model_config
+from conftest import overfit_clips, review_session, toy_model_config
 
+from fragreel import training
 from fragreel.annotations import AnnotatedEvent
 from fragreel.catalogue import EventLabel, GameId
 from fragreel.detection import (
@@ -21,7 +22,7 @@ from fragreel.detection import (
 )
 from fragreel.errors import DataError, EmptyInput, MalformedJson
 from fragreel.params import ModelParams
-from fragreel.textmodel import PromptCache, prompt_set_for
+from fragreel.textmodel import PromptCache, predict_label, prompt_set_for
 
 
 def bg(i: int, p: float = 0.5) -> SecondPrediction:
@@ -306,3 +307,45 @@ class TestClassifySession:
         cache = PromptCache()
         classify_session(SimultaneousClips(), prompt_set, params, cache=cache, jobs=2)
         assert cache.encode_calls == len(prompt_set.prompts)
+
+
+def _labels_counted_correct_when_every_logit_ties():
+    params = ModelParams.init(toy_model_config(), seed=0)
+    params["head.logit_scale"].data[...] = 0.0  # every logit 0: all classes tie
+    prompt_set = prompt_set_for(GameId.OW2)
+    clip = overfit_clips()[0].clip
+    counted = []
+    for label in prompt_set.labels:
+        batch = [training.TrainExample(clip=clip, game=GameId.OW2, label=label)]
+        _, correct = training._batch_loss(batch, params, {GameId.OW2: prompt_set},
+                                          PromptCache(), text_grad=False)
+        if correct:
+            counted.append(label)
+    return counted, [prompt_set.labels[0]]
+
+
+# Each caller of the selection rule, given a tie: (what it picked, the first).
+TIED_PICKS = {
+    "predict_label": lambda: (
+        predict_label([(EventLabel.DEATH, 0.4), (EventLabel.KILL, 0.4),
+                       (EventLabel.BACKGROUND, 0.2)]),
+        (EventLabel.DEATH, 0.4),
+    ),
+    "training_accuracy": _labels_counted_correct_when_every_logit_ties,
+    "slide_windows": lambda: (
+        slide_windows([ev(0, EventLabel.DEATH, 0.6), bg(1), ev(2, EventLabel.KILL, 0.6)],
+                      TARGETS)[0].source_second,
+        0,
+    ),
+    "build_edl": lambda: (
+        build_edl([WindowDecision(0, EventLabel.DEATH, 0, 0.6),
+                   WindowDecision(1, EventLabel.KILL, 1, 0.6)], 10.0).cuts[0].label,
+        EventLabel.DEATH,
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(TIED_PICKS))
+def test_ties_go_to_the_first_of_the_highest(caller):
+    picked, first = TIED_PICKS[caller]()
+    assert picked == first

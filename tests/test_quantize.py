@@ -22,6 +22,7 @@ from fragreel.quantize import (
     calibrate_activations,
     dequantize,
     fake_quant,
+    load_model,
     load_quantized_model,
     quantize_model,
     quantize_tensor,
@@ -198,3 +199,27 @@ class TestQuantizedModel:
             pred_q = predict_label(classify(v_q.data, ps, qparams, cache_q, qctx=qctx))
             agree += pred_fp[0] == pred_q[0]
         assert agree / len(examples) >= 0.9
+
+
+class TestLoadModel:
+    def test_fp32_checkpoint_has_no_activation_context(self, tmp_path):
+        params = ModelParams.init(toy_model_config(), seed=7)
+        path = tmp_path / "m.xckp"
+        save_checkpoint(path, params, epoch=0, val_accuracy=None)
+        loaded, qctx = load_model(path)
+        assert qctx is None
+        for name in params.names():
+            assert loaded[name].data.tobytes() == params[name].data.tobytes()
+
+    def test_quantized_checkpoint_loads_as_load_quantized_model(self, tmp_path):
+        params = ModelParams.init(toy_model_config(), seed=7)
+        fp32_path, quant_path = tmp_path / "m.xckp", tmp_path / "m.xckq"
+        save_checkpoint(fp32_path, params, epoch=0, val_accuracy=None)
+        quantize_model(fp32_path, quant_path, [overfit_clips()[0].clip],
+                       [prompt_set_for(GameId.OW2)])
+        loaded, qctx = load_model(quant_path)
+        expected, expected_qctx = load_quantized_model(quant_path)
+        assert isinstance(qctx, ActQuant)
+        assert qctx.scales == expected_qctx.scales
+        for name in params.names():
+            assert loaded[name].data.tobytes() == expected[name].data.tobytes()

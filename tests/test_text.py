@@ -111,17 +111,6 @@ class TestCatalogue:
         assert set(ps.labels) == set(EventLabel)
         assert all(p.description == "" for p in ps.prompts)
 
-    def test_fallback_targets_get_background_appended(self):
-        ps = prompt_set_for(GameId.OW2, catalogue={}, targets=(EventLabel.KILL,))
-        assert ps.labels == (EventLabel.KILL, EventLabel.BACKGROUND)
-
-    def test_fallback_targets_deduplicated(self):
-        ps = prompt_set_for(
-            GameId.OW2, catalogue={},
-            targets=(EventLabel.KILL, EventLabel.BACKGROUND, EventLabel.KILL),
-        )
-        assert ps.labels == (EventLabel.KILL, EventLabel.BACKGROUND)
-
     def test_catalogue_has_priority_over_fallback(self):
         catalogue = load_catalogue()
         assert prompt_set_for(GameId.OW2, catalogue) is catalogue[GameId.OW2]
