@@ -22,6 +22,11 @@ MANIFEST_VERSION = "1"
 TRAIN_FRACTION = 0.8
 
 
+def _check_video(video) -> None:
+    if not isinstance(video, str) or not video:
+        raise DataError(f"video name must be a non-empty string, got {video!r}")
+
+
 @dataclass(frozen=True)
 class AnnotatedEvent:
     """A labeled time interval in one video of one game."""
@@ -33,6 +38,7 @@ class AnnotatedEvent:
     game: GameId
 
     def __post_init__(self):
+        _check_video(self.video)
         if not 0 <= self.start_s <= self.end_s < math.inf:  # also rejects NaN
             raise NegativeInterval(
                 f"bad interval [{self.start_s}, {self.end_s}] in {self.video!r}"
@@ -54,6 +60,7 @@ class ClipRef:
     split: str  # "train" | "test"
 
     def __post_init__(self):
+        _check_video(self.video)
         if not 0 <= self.clip_start_s < math.inf:  # also rejects NaN
             raise DataError(f"clip of {self.video!r} has bad start {self.clip_start_s}")
         if self.split not in ("train", "test"):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import resource
 import sys
 import time
@@ -37,6 +38,7 @@ from .config import RunConfig, describe, load_run_config
 from .detection import (
     SecondPrediction,
     build_edl,
+    classify_second,
     classify_session,
     slide_windows,
 )
@@ -288,6 +290,8 @@ def _read_predictions(path: str) -> list[SecondPrediction]:
 def cmd_highlight(args, run: RunConfig) -> int:
     if args.cut_dir and run.cutter is None:
         raise ConfigError("--cut-dir needs a `cutter` command in the run config")
+    if args.session_len is not None and not 0.0 < args.session_len < math.inf:  # also rejects NaN
+        raise ConfigError(f"--session-len must be finite and positive, got {args.session_len}")
     game = parse_game(args.game)
     preds = _read_predictions(args.predictions)
     if not preds:
@@ -309,35 +313,19 @@ def cmd_highlight(args, run: RunConfig) -> int:
 
 
 def cmd_bench(args, run: RunConfig) -> int:
-    if args.subset < 1:
-        raise ConfigError(f"--subset must be >= 1, got {args.subset}")
     params, qctx, prompt_set, clips = _session(args, run)
     seconds = len(clips)
-
-    def run_pass(count: int) -> tuple[list[float], int]:
-        cache = PromptCache()
-        latencies = []
-        for i in range(count):
-            clip = clips[i]
-            t0 = time.perf_counter()
-            classify_session([clip], prompt_set, params, cache=cache, qctx=qctx, jobs=1)
-            latencies.append(time.perf_counter() - t0)
-        return latencies, cache.encode_calls
-
-    subset = min(args.subset, seconds)
-    _, calls_subset = run_pass(subset)
-    latencies, calls_full = run_pass(seconds)
-    if calls_subset != calls_full:
-        raise FragreelError(
-            f"text encoder ran {calls_subset} times for {subset} clips but "
-            f"{calls_full} for {seconds}; prompt cache is broken"
-        )
+    cache = PromptCache()
+    latencies = []
+    for i in range(seconds):
+        clip = clips[i]
+        t0 = time.perf_counter()
+        classify_second(clip, prompt_set, params, cache, qctx, second_index=i)
+        latencies.append(time.perf_counter() - t0)
     report = {
         "seconds": seconds,
-        "subset": subset,
         "prompt_count": len(prompt_set.prompts),
-        "encode_calls_subset": calls_subset,
-        "encode_calls_full": calls_full,
+        "encode_calls": cache.encode_calls,
         "latency_mean_s": sum(latencies) / len(latencies),
         "latency_max_s": max(latencies),
         "latencies_s": latencies,
@@ -353,7 +341,7 @@ def cmd_bench(args, run: RunConfig) -> int:
         "bench: %d clips, mean %.4fs, %d text-encoder calls",
         seconds,
         report["latency_mean_s"],
-        calls_full,
+        cache.encode_calls,
     )
     return 0
 
@@ -437,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True)
     p.add_argument("--video", required=True)
     p.add_argument("--seconds", type=int)
-    p.add_argument("--subset", type=int, default=10, help="size of the comparison pass")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

@@ -292,4 +292,8 @@ class ClipStore:
         return lambda start_s: preprocess_clip(second(start_s), self.preprocess)
 
     def clip(self, ref: ClipRef) -> np.ndarray:
+        """The clip a manifest entry names; it must start before an ".rgbc" video ends."""
+        path = self.resolve(ref.game, ref.video)
+        if path.suffix == ".rgbc" and ref.clip_start_s >= read_rgbc_file(path).duration_s:
+            raise DataResolutionError(f"{path}: clip starts at {ref.clip_start_s}s, at or past the end")
         return self.clips(ref.game, ref.video)(ref.clip_start_s)

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .checkpoint import MAGIC_FP32, MAGIC_QUANT, load_checkpoint, load_quantized, save_quantized
 from .errors import DataError, NonFiniteInput
 from .params import ModelParams
+from .textmodel import classification_logits
+from .videomodel import encode_video
 
 QMAX = 127
 
@@ -102,22 +104,22 @@ class ActQuant:
 
 
 def calibrate_activations(params: ModelParams, calib_clips, prompt_sets) -> dict[str, float]:
-    """Record activation ranges over full classification forward passes.
+    """Record activation ranges over graph-free classification forward passes.
 
+    Each clip is encoded once and its embedding runs through every prompt
+    set, where ``detection.classify_second`` would encode it once per set.
     One calibration clip is enough in practice; several clips accumulate a
     running max per site. Every prompt set that inference will use must be
     listed so the text-side sites get calibrated too.
     """
-    from .textmodel import classification_logits
-    from .videomodel import encode_video
-
     if not calib_clips:
         raise DataError("calibration set is empty")
     recorder = ActRecorder()
-    for clip in calib_clips:
-        v = encode_video(clip, params, qctx=recorder)
-        for prompt_set in prompt_sets:
-            classification_logits(Tensor(v.data), prompt_set, params, cache=None, qctx=recorder)
+    with no_grad():
+        for clip in calib_clips:
+            v = encode_video(clip, params, qctx=recorder)
+            for prompt_set in prompt_sets:
+                classification_logits(v, prompt_set, params, cache=None, qctx=recorder)
     return recorder.scales()
 
 

@@ -17,14 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .autodiff import concat, log_softmax, mean, no_grad, reshape
+from .autodiff import concat, log_softmax, mean, reshape
 from .catalogue import EventLabel, GameId
 from .errors import ConfigError, NonFiniteGradient
 from .checkpoint import save_checkpoint
+from .detection import classify_second
 from .metrics import EvalRecord, accuracy
 from .parallel import map_ordered
 from .params import ModelParams
-from .textmodel import PromptCache, classification_logits, classify, first_highest, prompt_set_for
+from .textmodel import PromptCache, classification_logits, first_highest, prompt_set_for
 from .videomodel import encode_video
 
 DEFAULT_FREEZE = frozenset({"text_encoder", "prompting_module"})
@@ -142,16 +143,12 @@ def _batch_loss(batch, params, prompt_sets, cache, text_grad):
 
 def eval_records(examples, params: ModelParams, catalogue=None, cache=None,
                  qctx=None) -> list[EvalRecord]:
-    """Classify every example; one record of its probabilities each."""
+    """Classify every example in turn; one record of its probabilities each."""
     prompt_sets = _prompt_sets_for(examples, catalogue)
     records = []
-    with no_grad():
-        for ex in examples:
-            v = encode_video(ex.clip, params, qctx)
-            probs = classify(v, prompt_sets[ex.game], params, cache, qctx)
-            records.append(
-                EvalRecord(true_label=ex.label, probabilities=tuple(probs), game=ex.game)
-            )
+    for ex in examples:
+        pred = classify_second(ex.clip, prompt_sets[ex.game], params, cache, qctx)
+        records.append(EvalRecord(true_label=ex.label, probabilities=pred.probabilities, game=ex.game))
     return records
 
 

@@ -127,8 +127,18 @@ class TestAnnotatedEvent:
         with pytest.raises(NegativeInterval):
             AnnotatedEvent("v", start, end, EventLabel.KILL, GameId.CSGO)
 
+    @pytest.mark.parametrize("video", [5, None, ""], ids=["number", "null", "empty"])
+    def test_video_must_be_a_non_empty_string(self, video):
+        with pytest.raises(DataError, match="video name must be a non-empty string"):
+            AnnotatedEvent(video, 1.0, 2.0, EventLabel.KILL, GameId.CSGO)
+
 
 class TestClipRef:
+    @pytest.mark.parametrize("video", [5, None, ""], ids=["number", "null", "empty"])
+    def test_video_must_be_a_non_empty_string(self, video):
+        with pytest.raises(DataError, match="video name must be a non-empty string"):
+            ClipRef(video, 1.0, EventLabel.KILL, GameId.CSGO, "train")
+
     @pytest.mark.parametrize("start, split", [
         (float("nan"), "train"), (float("inf"), "train"), (-0.5, "test"), (1.0, "val"),
     ], ids=["nan_start", "infinite_start", "negative_start", "unknown_split"])

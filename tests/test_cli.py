@@ -12,6 +12,7 @@ import pytest
 from fragreel.annotations import events_from_json, manifest_from_json, parse_via
 from fragreel.catalogue import EventLabel, GameId
 from fragreel.checkpoint import load_checkpoint
+from fragreel import detection
 from fragreel.cli import main
 from fragreel.detection import HighlightEdl
 from fragreel.frames import RawClip, write_rgbc
@@ -249,15 +250,27 @@ class TestFlags:
             "bench", "--config", env["config"],
             "--checkpoint", env["artifacts"]["checkpoint"],
             "--game", GAME, "--video", "bravo.rgbc",
-            "--seconds", 6, "--subset", 3, "--out", out,
+            "--seconds", 6, "--out", out,
         ])
         assert rc == 0
         report = json.loads(out.read_text())
-        assert report["encode_calls_subset"] == report["encode_calls_full"]
-        assert report["encode_calls_full"] == report["prompt_count"]
+        assert report["encode_calls"] == report["prompt_count"]
         assert len(report["latencies_s"]) == 6
         assert report["latency_mean_s"] > 0.0
         assert report["peak_rss_mb"] > 0.0
+
+    def test_bench_encodes_each_second_once(self, env, tmp_path, monkeypatch):
+        calls = []
+        encode = detection.encode_video
+        monkeypatch.setattr(detection, "encode_video", lambda *a: calls.append(1) or encode(*a))
+        rc = run_cli([
+            "bench", "--config", env["config"],
+            "--checkpoint", env["artifacts"]["checkpoint"],
+            "--game", GAME, "--video", "bravo.rgbc",
+            "--seconds", 6, "--out", tmp_path / "bench.json",
+        ])
+        assert rc == 0
+        assert len(calls) == 6
 
 
 class TestCutter:
@@ -510,18 +523,6 @@ class TestExitCodes:
         assert "target_count" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
-    @pytest.mark.parametrize("subset", [0, -2])
-    def test_bench_subset_below_one_is_config_error(self, env, tmp_path, capsys, subset):
-        rc = run_cli([
-            "bench", "--config", env["config"],
-            "--checkpoint", env["artifacts"]["checkpoint"],
-            "--game", GAME, "--video", "bravo.rgbc", "--seconds", 2,
-            "--subset", subset, "--out", tmp_path / "bench.json",
-        ])
-        assert rc == 2
-        assert "--subset" in capsys.readouterr().err
-        assert not (tmp_path / "bench.json").exists()
-
     def test_cut_dir_without_cutter_is_config_error(self, env, tmp_path, capsys):
         rc = run_cli([
             "highlight", "--config", env["config"],
@@ -534,12 +535,33 @@ class TestExitCodes:
         assert not (tmp_path / "edl.json").exists()
         assert not (tmp_path / "cuts").exists()
 
+    @pytest.mark.parametrize("length", [-5, 0, "nan", "inf"])
+    def test_bad_session_len_is_config_error_before_any_write(self, env, tmp_path, capsys,
+                                                                length):
+        config = json.loads(env["config"].read_text())
+        config["cutter"] = f"{sys.executable} -c pass {{input}} {{start}} {{dur}} {{output}}"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = run_cli([
+            "highlight", "--config", cfg_path,
+            "--predictions", env["artifacts"]["predictions"],
+            "--game", GAME, "--session-len", length,
+            "--out", tmp_path / "edl.json", "--cut-dir", tmp_path / "cuts",
+        ])
+        assert rc == 2
+        assert "--session-len" in capsys.readouterr().err
+        assert not (tmp_path / "edl.json").exists()
+        assert not (tmp_path / "cuts").exists()
+
     @pytest.mark.parametrize("command, key, value", [
         ("train", "label", "PowerUse"),
         ("eval", "clip_start_s", float("nan")),
         ("eval", "clip_start_s", -1.0),
         ("train", "split", "val"),
-    ], ids=["label_not_in_game", "nan_start", "negative_start", "unknown_split"])
+        ("train", "video", 5),
+        ("eval", "video", ""),
+    ], ids=["label_not_in_game", "nan_start", "negative_start", "unknown_split",
+            "numeric_video", "empty_video"])
     def test_bad_manifest_entry_is_data_error_naming_the_file(self, env, tmp_path, capsys,
                                                               command, key, value):
         payload = json.loads(env["artifacts"]["manifest"].read_text())
@@ -558,6 +580,36 @@ class TestExitCodes:
         assert rc == 3
         assert f"fragreel: {manifest}: " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("start", [30.0, 1e6])
+    def test_manifest_start_past_video_end_is_data_error_naming_the_video(self, env, tmp_path,
+                                                                          capsys, start):
+        payload = json.loads(env["artifacts"]["manifest"].read_text())
+        payload["entries"] = [dict(payload["entries"][0], video="alpha.rgbc", clip_start_s=start)]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        rc = run_cli([
+            "eval", "--config", env["config"], "--manifest", manifest,
+            "--checkpoint", env["artifacts"]["checkpoint"], "--split", "all", "--out", out,
+        ])
+        assert rc == 3
+        video = env["data"] / GAME / "alpha.rgbc"
+        assert f"fragreel: {video}: clip starts at {start}s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_events_video_not_a_string_is_data_error_naming_the_file(self, env, tmp_path, capsys):
+        events = json.loads(env["events"].read_text())
+        events[0]["video"] = 5
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(events))
+        rc = run_cli([
+            "build-manifest", "--config", env["config"], "--annotations", path,
+            "--out", tmp_path / "m.json",
+        ])
+        assert rc == 3
+        assert f"fragreel: {path}: video name must be a non-empty string" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_events_label_not_in_game_is_data_error_naming_the_file(self, env, tmp_path, capsys):
         events = json.loads(env["events"].read_text())

@@ -220,6 +220,17 @@ class TestClipStore:
             want = preprocess_clip(extract_second(whole, start_s), store.preprocess)
             np.testing.assert_array_equal(clip_at(start_s), want)
 
+    def test_clip_starting_at_or_past_the_end_raises_naming_the_file(self, tmp_path):
+        self.write_video(tmp_path, frames=18)  # 4.5 s at 4 fps
+        store = self.store(tmp_path)
+        for start_s in (4.5, 1e6):
+            ref = ClipRef("v.rgbc", start_s, EventLabel.KILL, GameId.CSGO, "train")
+            with pytest.raises(DataResolutionError, match=f"v.rgbc: clip starts at {start_s}s"):
+                store.clip(ref)
+        # a start inside the last second still clamps to the last whole second
+        ref = ClipRef("v.rgbc", 4.0, EventLabel.KILL, GameId.CSGO, "train")
+        np.testing.assert_array_equal(store.clip(ref), store.clips(GameId.CSGO, "v")(3.5))
+
     def test_videos_of_an_empty_game_folder_raise(self, tmp_path):
         (tmp_path / "CSGO").mkdir()
         with pytest.raises(DataResolutionError, match="no .rgbc videos"):

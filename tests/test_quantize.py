@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import overfit_clips, toy_model_config
+from fragreel import autodiff
 from fragreel.catalogue import GameId
 from fragreel.checkpoint import (
     MAGIC_FP32,
     MAGIC_QUANT,
+    load_checkpoint,
     payload_bytes,
     save_checkpoint,
 )
@@ -150,6 +152,23 @@ class TestCalibration:
             assert prefix + ".out:in" in sites
         assert "video.cct.0.msg:in" in sites
         assert all(scale > 0 for scale in scales.values())
+
+    def test_calibration_builds_no_graph(self, tmp_path, monkeypatch):
+        # load_checkpoint marks every tensor trainable, as `fragreel quantize` sees them
+        path = tmp_path / "model.xckp"
+        save_checkpoint(path, ModelParams.init(toy_model_config(), seed=7), epoch=0,
+                        val_accuracy=None)
+        params, _ = load_checkpoint(path)
+        grad_seen = set()
+        process = ActRecorder.process
+
+        def spy(self, site, data):
+            grad_seen.add(autodiff._grad_enabled())
+            return process(self, site, data)
+
+        monkeypatch.setattr(ActRecorder, "process", spy)
+        calibrate_activations(params, [overfit_clips()[0].clip], [prompt_set_for(GameId.OW2)])
+        assert grad_seen == {False}
 
     def test_empty_calibration_set_rejected(self):
         params = ModelParams.init(toy_model_config(), seed=7)
