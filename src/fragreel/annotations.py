@@ -142,20 +142,15 @@ def build_manifest(
     events: list[AnnotatedEvent],
     backgrounds: list[AnnotatedEvent],
     seed: int,
-    durations: dict[str, float] | None = None,
+    durations: dict[str, float],
 ) -> DatasetManifest:
     """Stratified 80/20 split over one clip per event, reproducible by seed.
 
     Strata are (game, label) pairs, each shuffled by its own seed-derived
-    stream; a stratum of fewer than two clips goes wholly to train. When
-    ``durations`` omits a video the clip is clamped against the event end
-    instead of the true duration.
+    stream; a stratum of fewer than two clips goes wholly to train.
+    ``durations`` holds the length in seconds of every video named.
     """
-    durations = durations or {}
-    clips = []
-    for event in list(events) + list(backgrounds):
-        duration = durations.get(event.video, max(event.end_s, 1.0))
-        clips.append(event_to_clip(event, duration))
+    clips = [event_to_clip(event, durations[event.video]) for event in [*events, *backgrounds]]
 
     strata: dict[tuple[str, str], list[ClipRef]] = {}
     for clip in clips:

@@ -73,10 +73,6 @@ def _store(run: RunConfig) -> ClipStore:
     return ClipStore(data_root=Path(run.data_root), preprocess=run.preprocess, decoder=source)
 
 
-def _catalogue(run: RunConfig):
-    return load_catalogue(run.catalogue)
-
-
 def _read(path: str, parse):
     """``parse`` applied to the bytes of a file; a data error names the file."""
     try:
@@ -108,16 +104,28 @@ class SessionClips:
         return self._clip_at(float(i))
 
 
+def _load_model(path: str, run: RunConfig):
+    """``load_model``, checked to take the clips ``run`` preprocesses."""
+    params, qctx = load_model(path)
+    encoder = params.config.encoder
+    takes = (encoder.t_frames, encoder.side)
+    gives = (run.preprocess.t_frames, run.preprocess.side)
+    if takes != gives:
+        raise ConfigError(f"{path} takes clips of (t_frames, side) = {takes}, "
+                          f"but the run config preprocesses to {gives}")
+    return params, qctx
+
+
 def _session(args, run: RunConfig):
     """Model, activation qctx, prompt set and the clips of ``args.video``."""
     game = parse_game(args.game)
-    params, qctx = load_model(args.checkpoint)
+    params, qctx = _load_model(args.checkpoint, run)
     store = _store(run)
     duration = store.duration(game, args.video)
     seconds = int(duration) if args.seconds is None else min(args.seconds, int(duration))
     if seconds < 1:
         raise EmptyInput(f"{args.video}: no whole second to classify")
-    prompt_set = prompt_set_for(game, _catalogue(run))
+    prompt_set = prompt_set_for(game, load_catalogue(run.catalogue))
     return params, qctx, prompt_set, SessionClips(store, game, args.video, seconds)
 
 
@@ -175,12 +183,12 @@ def cmd_train(args, run: RunConfig) -> int:
     store = _store(run)
     train_set, val_set = _split_examples(manifest, store, run)
     params = ModelParams.init(run.model_config, run.seed)
-    catalogue = _catalogue(run)
+    catalogue = load_catalogue(run.catalogue)
     if args.history:
         Path(args.history).parent.mkdir(parents=True, exist_ok=True)
         Path(args.history).unlink(missing_ok=True)
     Path(args.checkpoint).parent.mkdir(parents=True, exist_ok=True)
-    _best, history = train(
+    history = train(
         train_set,
         val_set,
         params,
@@ -206,9 +214,9 @@ def cmd_eval(args, run: RunConfig) -> int:
     entries = [e for e in manifest.entries if args.split in ("all", e.split)]
     if not entries:
         raise EmptyInput(f"manifest has no {args.split} entries")
+    params, qctx = _load_model(args.checkpoint, run)
     examples = materialize_examples(entries, store, run.jobs)
-    params, qctx = load_model(args.checkpoint)
-    records = eval_records(examples, params, _catalogue(run), PromptCache(), qctx)
+    records = eval_records(examples, params, load_catalogue(run.catalogue), PromptCache(), qctx)
     report = evaluation_report(records)
     text = json.dumps(report, sort_keys=True, ensure_ascii=False) + "\n"
     _write_text(args.out, text)
@@ -224,7 +232,7 @@ def cmd_quantize(args, run: RunConfig) -> int:
     if not picks:
         raise EmptyInput("manifest has no entries to calibrate on")
     clips = [store.clip(e) for e in picks]
-    catalogue = _catalogue(run)
+    catalogue = load_catalogue(run.catalogue)
     games = sorted({e.game for e in manifest.entries}, key=lambda g: g.value)
     prompt_sets = [prompt_set_for(g, catalogue) for g in games]
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -284,6 +292,14 @@ def _read_predictions(path: str) -> list[SecondPrediction]:
         except (ValueError, KeyError, TypeError, AttributeError, UnknownLabel) as exc:
             raise MalformedJson(f"{path}, line {lineno}: bad prediction record ({exc!r})") from exc
     preds.sort(key=lambda p: p.second_index)
+    # windows take their start from a prediction's place in the list
+    rule = f"{path}: seconds must run 0..{len(preds) - 1}"
+    for i, p in enumerate(preds):
+        if p.second_index > i:
+            raise DataError(f"{rule}, but second {i} is missing")
+        if p.second_index < i:
+            what = "negative" if p.second_index < 0 else "repeated"
+            raise DataError(f"{rule}, but second {p.second_index} is {what}")
     return preds
 
 
@@ -347,7 +363,7 @@ def cmd_bench(args, run: RunConfig) -> int:
 
 
 def cmd_print_prompts(args, run: RunConfig) -> int:
-    catalogue = _catalogue(run)
+    catalogue = load_catalogue(run.catalogue)
     games = [parse_game(args.game)] if args.game else sorted(catalogue, key=lambda g: g.value)
     for game in games:
         prompt_set = prompt_set_for(game, catalogue)

@@ -3,8 +3,10 @@
 A run config is one JSON object with optional sections mirroring the module
 configs (preprocess, encoder, text, head, train, sampler, quantizer) plus
 top-level paths, the root seed, and parallelism. Unknown keys anywhere are
-rejected. Command-line flags override file values; every stage derives its
-randomness from the single root seed through named streams.
+rejected. Command-line flags override file values. Every stage derives its
+randomness from the single root seed: weight init, the train/test split and
+the epoch shuffle draw through named streams (``seeds.stream``), while
+background sampling seeds its generator with the root seed itself.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ import json
 from dataclasses import dataclass
 
 from .autodiff import no_grad
-from .catalogue import EventLabel, GameId, parse_label
-from .errors import DataError, EmptyInput, MalformedJson
+from .catalogue import EventLabel
+from .errors import DataError, EmptyInput
 from .parallel import map_ordered
 from .textmodel import classify, first_highest, predict_label
 from .videomodel import encode_video
@@ -78,23 +78,6 @@ class HighlightEdl:
             ],
         }
         return json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "HighlightEdl":
-        try:
-            payload = json.loads(text)
-            cuts = tuple(
-                Cut(
-                    start_s=float(c["start_s"]),
-                    end_s=float(c["end_s"]),
-                    label=parse_label(c["label"], GameId.UNKNOWN),
-                    score=float(c["score"]),
-                )
-                for c in payload["cuts"]
-            )
-            return cls(source=payload["source"], cuts=cuts)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise MalformedJson(f"bad highlight list: {exc}") from exc
 
 
 def classify_second(clip, prompt_set, params, cache=None, qctx=None, second_index=0) -> SecondPrediction:
@@ -173,19 +156,6 @@ class LabelScore:
 class WindowScores:
     per_label: dict
     average: float
-
-    def to_dict(self) -> dict:
-        return {
-            "per_label": {
-                label.value: {
-                    "correct": s.correct,
-                    "total": s.total,
-                    "accuracy": s.accuracy,
-                }
-                for label, s in self.per_label.items()
-            },
-            "average": self.average,
-        }
 
 
 def score_windows(decisions: list[WindowDecision], annotations) -> WindowScores:

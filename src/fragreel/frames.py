@@ -102,10 +102,8 @@ def read_rgbc(blob: bytes) -> RawClip:
     """A clip over the frames of ``blob`` (read-only, no copy)."""
     shape, fps = _rgbc_header(blob)
     expected = 24 + math.prod(shape)
-    if len(blob) < expected:
-        raise MalformedJson(
-            f"RGBC stream truncated: {len(blob)} bytes, expected {expected}"
-        )
+    if len(blob) != expected:
+        raise MalformedJson(f"RGBC header implies {expected} bytes, stream has {len(blob)}")
     frames = np.frombuffer(blob, np.uint8, expected - 24, offset=24).reshape(shape)
     return RawClip(frames=frames, fps=fps)
 

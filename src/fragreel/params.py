@@ -245,9 +245,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
     def names(self) -> list[str]:
         return sorted(self.tensors)
 

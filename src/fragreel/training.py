@@ -168,10 +168,11 @@ def train(
     checkpoint_path=None,
     history_path=None,
     on_step=None,
-) -> tuple[ModelParams, list[dict]]:
-    """Finetune in place; return the best parameters and per-epoch history.
+) -> list[dict]:
+    """Finetune ``params`` in place and return the per-epoch history.
 
-    Checkpoints are written to ``checkpoint_path`` when the monitored
+    ``params`` end at the last epoch. The best parameters are the
+    checkpoint, written to ``checkpoint_path`` whenever the monitored
     accuracy strictly improves, so the saved accuracy sequence is strictly
     increasing. ``on_step(epoch, step, loss)`` observes per-batch losses.
     """
@@ -182,7 +183,6 @@ def train(
     trainable = set(params.trainable_names(cfg.freeze))
     state = OptimizerState()
     best_metric = -math.inf
-    best_params = None
     history: list[dict] = []
 
     for epoch in range(cfg.epochs):
@@ -219,7 +219,6 @@ def train(
         wrote = False
         if metric > best_metric:
             best_metric = metric
-            best_params = params.copy()
             if checkpoint_path is not None:
                 save_checkpoint(checkpoint_path, params, epoch, val_acc)
             wrote = checkpoint_path is not None
@@ -235,7 +234,7 @@ def train(
         if history_path is not None:
             with open(history_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return best_params if best_params is not None else params, history
+    return history
 
 
 def materialize_examples(manifest_entries, store, jobs: int = 1) -> list[TrainExample]:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fragreel.catalogue import EventLabel, GameId
+from fragreel.checkpoint import load_checkpoint
 from fragreel.params import (
     EncoderConfig,
     HeadConfig,
@@ -128,9 +129,11 @@ def toy_params_f64(toy_config) -> ModelParams:
 def overfit_run(tmp_path_factory):
     """One full training run on the synthetic clips, shared by the suite.
 
-    Returns the examples, the untouched initial parameters, the trained
-    (best-checkpoint) parameters, the epoch history, and the paths of the
-    written checkpoint and history files.
+    Returns the examples, the untouched initial parameters, the parameters
+    at the last epoch, the best-checkpoint parameters read back from the
+    file, the epoch history, the paths of the written checkpoint and
+    history files, and each epoch's final weights as taken after its last
+    step.
     """
     out = tmp_path_factory.mktemp("overfit")
     examples = overfit_clips()
@@ -138,18 +141,24 @@ def overfit_run(tmp_path_factory):
     params = initial.copy()
     ckpt = out / "model.xckp"
     hist = out / "history.jsonl"
-    best, history = train(
+    epoch_end: dict[int, dict[str, bytes]] = {}
+
+    def snapshot(epoch, step, loss):
+        epoch_end[epoch] = {name: params[name].data.tobytes() for name in params.names()}
+
+    history = train(
         examples, [], params, OVERFIT_TRAIN,
-        checkpoint_path=ckpt, history_path=hist,
+        checkpoint_path=ckpt, history_path=hist, on_step=snapshot,
     )
     return {
         "examples": examples,
         "initial": initial,
         "final": params,
-        "best": best,
+        "best": load_checkpoint(ckpt)[0],
         "history": history,
         "checkpoint": ckpt,
         "history_path": hist,
+        "epoch_end": epoch_end,
     }
 
 

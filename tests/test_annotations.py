@@ -234,11 +234,6 @@ class TestBuildManifest:
         manifest = build_manifest(events, bkg, seed=0, durations={"v": 1000.0})
         assert sum(1 for e in manifest.entries if e.label is EventLabel.BACKGROUND) == 1
 
-    def test_missing_duration_clamps_against_event_end(self):
-        events = [AnnotatedEvent("v", 0.0, 0.4, EventLabel.KILL, GameId.CSGO)]
-        manifest = build_manifest(events, [], seed=0)
-        assert manifest.entries[0].clip_start_s == 0.0
-
 
 class TestSerialization:
     def test_manifest_round_trip(self):

@@ -14,8 +14,7 @@ from fragreel.catalogue import EventLabel, GameId
 from fragreel.checkpoint import load_checkpoint
 from fragreel import detection
 from fragreel.cli import main
-from fragreel.detection import HighlightEdl
-from fragreel.frames import RawClip, write_rgbc
+from fragreel.frames import ClipStore, RawClip, write_rgbc
 
 GAME = GameId.CSGO.value
 
@@ -182,16 +181,27 @@ class TestPipelineArtifacts:
             assert abs(total - 1.0) <= 1e-5
 
     def test_highlights_parse_and_stay_in_session(self, env):
-        edl = HighlightEdl.from_json(env["artifacts"]["highlights"].read_text())
-        assert edl.source == "alpha.rgbc"
-        for cut in edl.cuts:
-            assert 0.0 <= cut.start_s < cut.end_s <= 8.0
-            assert cut.label in (EventLabel.KILL, EventLabel.DEATH)
+        edl = json.loads(env["artifacts"]["highlights"].read_text())
+        assert edl["source"] == "alpha.rgbc"
+        for cut in edl["cuts"]:
+            assert 0.0 <= cut["start_s"] < cut["end_s"] <= 8.0
+            assert cut["label"] in ("Kill", "Death")
 
 
 class TestReruns:
     def test_rerun_artifacts_byte_identical(self, env):
         again = run_pipeline(env["config"], env["events"], env["root"] / "run2")
+        for name, path in env["artifacts"].items():
+            assert again[name].read_bytes() == path.read_bytes(), name
+
+    def test_artifacts_do_not_depend_on_jobs(self, env, tmp_path):
+        config = json.loads(env["config"].read_text())
+        assert config["jobs"] == 1
+        config["jobs"] = 2
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        again = run_pipeline(cfg_path, env["events"], tmp_path / "jobs2")
+        assert len(again) == 8
         for name, path in env["artifacts"].items():
             assert again[name].read_bytes() == path.read_bytes(), name
 
@@ -293,9 +303,9 @@ class TestCutter:
             "--out", tmp_path / "edl.json", "--cut-dir", cut_dir,
         ])
         assert rc == 0
-        edl = HighlightEdl.from_json((tmp_path / "edl.json").read_text())
+        edl = json.loads((tmp_path / "edl.json").read_text())
         produced = sorted(cut_dir.glob("cut_*.rgbc"))
-        assert len(produced) == len(edl.cuts)
+        assert len(produced) == len(edl["cuts"])
         if produced:
             assert produced[0].read_bytes().startswith(b"cut:")
 
@@ -501,6 +511,58 @@ class TestExitCodes:
         assert rc == 3
         assert f"{preds}, line 2" in capsys.readouterr().err
         assert not (tmp_path / "h.json").exists()
+
+    @pytest.mark.parametrize("seconds, named", [
+        ([0, 1, 2, 103, 104, 105, 106, 107], "second 3 is missing"),
+        ([0, 0, 1, 2], "second 0 is repeated"),
+        ([-1, 0, 1, 2], "second -1 is negative"),
+    ], ids=["gap", "repeat", "negative"])
+    def test_predictions_must_number_seconds_from_zero(self, env, tmp_path, capsys,
+                                                       seconds, named):
+        preds = tmp_path / "preds.jsonl"
+        lines = []
+        for s in seconds:
+            label, p = ("Kill", 0.9) if s == 105 else ("Background", 0.6)
+            lines.append(json.dumps({"second": s, "label": label, "probability": p,
+                                     "probs": {"Background": 1 - p, "Kill": p}}))
+        preds.write_text("\n".join(lines) + "\n")
+        rc = run_cli([
+            "highlight", "--config", env["config"], "--predictions", preds,
+            "--game", GAME, "--targets", "Kill", "--out", tmp_path / "h.json",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"{preds}: seconds must run 0..{len(seconds) - 1}, but {named}" in err
+        assert not (tmp_path / "h.json").exists()
+
+    @pytest.mark.parametrize("preprocess", [{"t_frames": 2, "side": 8}, {"t_frames": 3, "side": 4}],
+                             ids=["side", "t_frames"])
+    @pytest.mark.parametrize("command", ["detect", "bench", "eval"])
+    def test_clip_shape_unlike_the_checkpoint_is_config_error_before_any_clip(
+            self, env, tmp_path, capsys, monkeypatch, command, preprocess):
+        def no_clips(*args, **kwargs):
+            raise AssertionError("a clip was read")
+
+        monkeypatch.setattr(ClipStore, "clips", no_clips)
+        config = json.loads(env["config"].read_text())
+        # a consistent run config, but for another model than the checkpoint's
+        config["preprocess"] = preprocess
+        config["encoder"] = dict(config["encoder"], **preprocess)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        checkpoint = env["artifacts"]["checkpoint"]
+        out = tmp_path / "out.json"
+        if command == "eval":
+            argv = ["eval", "--manifest", env["artifacts"]["manifest"], "--split", "all"]
+        else:
+            argv = [command, "--game", GAME, "--video", "bravo.rgbc", "--seconds", 2]
+        rc = run_cli([*argv, "--config", cfg_path, "--checkpoint", checkpoint, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        gives = (preprocess["t_frames"], preprocess["side"])
+        assert f"{checkpoint} takes clips of (t_frames, side) = (2, 4)" in err
+        assert f"preprocesses to {gives}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sampler",
                              [{"max_retries": 0}, {"buffer_secs": -1}, {"target_count": -3}],

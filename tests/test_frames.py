@@ -70,6 +70,12 @@ class TestRgbcContainer:
         with pytest.raises(MalformedJson):
             read_rgbc(blob[:-1])
 
+    def test_trailing_bytes_raise(self):
+        blob = write_rgbc(random_clip())
+        expected = f"header implies {len(blob)} bytes, stream has {len(blob) + 40}"
+        with pytest.raises(MalformedJson, match=expected):
+            read_rgbc(blob + bytes(40))
+
     def test_zero_dimension_raises(self):
         blob = b"RGBC" + struct.pack("<5I", 0, 4, 1, 4, 1)
         with pytest.raises(ZeroDimension):

@@ -218,12 +218,16 @@ class TestOverfitRun:
         assert all(a < b for a, b in zip(metrics, metrics[1:]))
 
     def test_checkpoint_file_holds_best_parameters(self, overfit_run):
+        """The file holds the weights as the last improving epoch left them."""
         loaded, header = load_checkpoint(overfit_run["checkpoint"])
-        best = overfit_run["best"]
-        for name in best.names():
-            assert loaded[name].data.tobytes() == best[name].data.tobytes()
         written = [h for h in overfit_run["history"] if h["checkpoint_written"]]
-        assert header["epoch"] == written[-1]["epoch"]
+        best_epoch = written[-1]["epoch"]
+        assert best_epoch < OVERFIT_TRAIN.epochs - 1  # so the last epoch's weights differ
+        snapshot = overfit_run["epoch_end"][best_epoch]
+        assert sorted(snapshot) == loaded.names()
+        for name in loaded.names():
+            assert loaded[name].data.tobytes() == snapshot[name]
+        assert header["epoch"] == best_epoch
         assert header["val_accuracy"] is None
 
 
@@ -267,7 +271,7 @@ class TestRunDeterminism:
         runs = []
         for _ in range(2):
             params = ModelParams.init(toy_model_config(), seed=7)
-            best, history = train(examples, [], params, self.short_cfg(11))
+            history = train(examples, [], params, self.short_cfg(11))
             runs.append((params, history))
         (first, hist_a), (second, hist_b) = runs
         assert hist_a == hist_b
@@ -279,7 +283,7 @@ class TestRunDeterminism:
         histories = []
         for seed in (11, 12):
             params = ModelParams.init(toy_model_config(), seed=7)
-            _, history = train(examples, [], params, self.short_cfg(seed))
+            history = train(examples, [], params, self.short_cfg(seed))
             histories.append(history)
         assert histories[0] != histories[1]
 
@@ -296,7 +300,7 @@ class TestValidationMetric:
         params = ModelParams.init(toy_model_config(), seed=7)
         cfg = TrainConfig(epochs=3, batch_size=4, lr_max=5e-3, lr_min=5e-4, seed=3)
         ckpt = tmp_path / "model.xckp"
-        _, history = train(examples, examples[:4], params, cfg, checkpoint_path=ckpt)
+        history = train(examples, examples[:4], params, cfg, checkpoint_path=ckpt)
         assert all(record["val_acc"] is not None for record in history)
         written = [h for h in history if h["checkpoint_written"]]
         assert written
