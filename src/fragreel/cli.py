@@ -34,6 +34,7 @@ from .annotations import (
     parse_via,
 )
 from .catalogue import EventLabel, GameId, parse_game, parse_label
+from .checkpoint import load_checkpoint
 from .config import RunConfig, describe, load_run_config
 from .detection import (
     SecondPrediction,
@@ -49,13 +50,12 @@ from .errors import (
     EmptyInput,
     FragreelError,
     MalformedJson,
-    UnknownLabel,
 )
 from .frames import ClipStore, cutter, decoder
 from .metrics import evaluation_report
 from .parallel import blas_threads, worker_plan
 from .params import ModelParams
-from .quantize import load_model, quantize_model
+from .quantize import load_model, quantize_params
 from .textmodel import PromptCache, load_catalogue, prompt_set_for
 from .training import eval_records, materialize_examples, train
 
@@ -104,15 +104,20 @@ class SessionClips:
         return self._clip_at(float(i))
 
 
-def _load_model(path: str, run: RunConfig):
-    """``load_model``, checked to take the clips ``run`` preprocesses."""
-    params, qctx = load_model(path)
+def _check_clip_shape(path: str, params: ModelParams, run: RunConfig) -> None:
+    """The model loaded from ``path`` takes the clips ``run`` preprocesses."""
     encoder = params.config.encoder
     takes = (encoder.t_frames, encoder.side)
     gives = (run.preprocess.t_frames, run.preprocess.side)
     if takes != gives:
         raise ConfigError(f"{path} takes clips of (t_frames, side) = {takes}, "
                           f"but the run config preprocesses to {gives}")
+
+
+def _load_model(path: str, run: RunConfig):
+    """``load_model``, checked to take the clips ``run`` preprocesses."""
+    params, qctx = load_model(path)
+    _check_clip_shape(path, params, run)
     return params, qctx
 
 
@@ -231,12 +236,14 @@ def cmd_quantize(args, run: RunConfig) -> int:
     picks = pool[: run.quantizer.calib_count]
     if not picks:
         raise EmptyInput("manifest has no entries to calibrate on")
+    params, header = load_checkpoint(args.checkpoint)
+    _check_clip_shape(args.checkpoint, params, run)
     clips = [store.clip(e) for e in picks]
     catalogue = load_catalogue(run.catalogue)
     games = sorted({e.game for e in manifest.entries}, key=lambda g: g.value)
     prompt_sets = [prompt_set_for(g, catalogue) for g in games]
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    scales = quantize_model(args.checkpoint, args.out, clips, prompt_sets)
+    scales = quantize_params(params, header, args.out, clips, prompt_sets)
     logger.info("quantized %s -> %s (%d activation sites)", args.checkpoint, args.out, len(scales))
     return 0
 
@@ -289,7 +296,7 @@ def _read_predictions(path: str) -> list[SecondPrediction]:
                     probabilities=probs,
                 )
             )
-        except (ValueError, KeyError, TypeError, AttributeError, UnknownLabel) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, DataError) as exc:
             raise MalformedJson(f"{path}, line {lineno}: bad prediction record ({exc!r})") from exc
     preds.sort(key=lambda p: p.second_index)
     # windows take their start from a prediction's place in the list

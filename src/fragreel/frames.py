@@ -4,8 +4,11 @@ Raw frames arrive either from ".rgbc" files (a trivial uncompressed RGB24
 container used by tests and fixtures) or from an external decoder subprocess
 that writes the same format to stdout. Preprocessing selects a fixed number
 of frames by uniform striding, resizes them bilinearly to a square, and
-normalizes each channel on the 0-255 scale. ``Command`` runs the external
-programs, the decoder and the highlight cutter, from checked templates.
+normalizes each channel on the 0-255 scale. It reads only the source pixels
+that the resize uses, straight from the (possibly mapped) frames, and its
+output is byte-identical to the whole-frame float64 formula. ``Command``
+runs the external programs, the decoder and the highlight cutter, from
+checked templates.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import struct
 import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -132,20 +135,17 @@ def extract_second(clip: RawClip, start_s: float) -> RawClip:
     return RawClip(frames=window, fps=clip.fps)
 
 
-def select_frames(raw: RawClip, t: int) -> np.ndarray:
-    """Pick ``t`` frames at uniformly strided indices.
+def frame_indices(count: int, t: int) -> list[int]:
+    """The ``t`` uniformly strided frame indices of a clip of ``count`` frames.
 
-    Index i maps to round(i * (F - 1) / (t - 1)); when the clip holds fewer
-    frames than requested, indices repeat.
+    Index i maps to round(i * (count - 1) / (t - 1)); when the clip holds
+    fewer frames than requested, indices repeat.
     """
-    count = raw.frame_count
     if count == 0:
         raise EmptyClip("cannot select frames from an empty clip")
     if t == 1:
-        indices = [0]
-    else:
-        indices = [int(round(i * (count - 1) / (t - 1))) for i in range(t)]
-    return raw.frames[indices]
+        return [0]
+    return [int(round(i * (count - 1) / (t - 1))) for i in range(t)]
 
 
 def resize_bilinear(frame: np.ndarray, side: int) -> np.ndarray:
@@ -153,7 +153,9 @@ def resize_bilinear(frame: np.ndarray, side: int) -> np.ndarray:
 
     Sampling uses the corner-aligned=false convention: output pixel j reads
     source coordinate (j + 0.5) * scale - 0.5, clamped to the frame. Values
-    are rounded half-to-even back to uint8.
+    are rounded half-to-even back to uint8. Only the source pixels that the
+    output reads are gathered, on uint8, before the float64 arithmetic, so
+    a large frame (or a mapped file) is never converted whole.
     """
     if side < 1:
         raise ZeroDimension("target side must be >= 1")
@@ -172,27 +174,76 @@ def resize_bilinear(frame: np.ndarray, side: int) -> np.ndarray:
 
     y0, y1, fy = axis_coords(height)
     x0, x1, fx = axis_coords(width)
-    src = frame.astype(np.float64)
-    fy = fy[:, None, None]
-    fx = fx[None, :, None]
-    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
-    bottom = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
-    out = top * (1 - fy) + bottom * fy
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    # rows y0 then y1, then of those the bytes of columns x0 then x1, so the
+    # block splits into the four corners; each pixel's weight covers its 3 bytes
+    rows = np.take(frame, np.concatenate([y0, y1]), axis=0).reshape(2 * side, width * 3)
+    columns = (np.concatenate([x0, x1])[:, None] * 3 + np.arange(3)).ravel()
+    block = np.take(rows, columns, axis=1).astype(np.float64)
+    a, b = block[:side, : 3 * side], block[:side, 3 * side :]
+    c, d = block[side:, : 3 * side], block[side:, 3 * side :]
+    fx = np.repeat(fx, 3)
+    fy = fy[:, None]
+    # the whole-frame formula's operation order, which the output bytes depend on:
+    # top = a(1 - fx) + b fx, bottom = c(1 - fx) + d fx, out = top(1 - fy) + bottom fy
+    top = a * (1 - fx)
+    top += b * fx
+    bottom = c * (1 - fx)
+    bottom += d * fx
+    top *= 1 - fy
+    bottom *= fy
+    top += bottom
+    np.rint(top, out=top)
+    np.clip(top, 0, 255, out=top)
+    return top.astype(np.uint8).reshape(side, side, 3)
 
 
-def normalize(clip: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
-    """Per-channel (x - mean) / std on the raw 0-255 scale, as float32."""
-    mean = np.asarray(cfg.mean, dtype=np.float64)
-    std = np.asarray(cfg.std, dtype=np.float64)
-    return ((clip.astype(np.float64) - mean) / std).astype(np.float32)
+@lru_cache(maxsize=8)
+def _channel_tables(mean: tuple, std: tuple) -> np.ndarray:
+    """(3, 256) float32, read-only: row c maps v to (v - mean[c]) / std[c],
+    computed in float64. Cached because ``preprocess_clip`` normalizes
+    frame by frame, and on small frames building it cost more than the
+    lookups."""
+    values = np.arange(256, dtype=np.float64)[:, None]
+    mean = np.asarray(mean, dtype=np.float64)
+    std = np.asarray(std, dtype=np.float64)
+    tables = ((values - mean) / std).astype(np.float32).T
+    tables.flags.writeable = False
+    return tables
+
+
+def normalize(clip: np.ndarray, cfg: PreprocessConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel (x - mean) / std of uint8 pixels on the 0-255 scale, as float32.
+
+    Each value is looked up in a 256-entry table per channel, built with the
+    formula in float64, so the bytes are those of the formula applied to the
+    whole clip. The result goes into ``out`` when it is given.
+    """
+    if clip.dtype != np.uint8:
+        raise ValueError(f"normalize takes uint8 pixels, got {clip.dtype}")
+    tables = _channel_tables(tuple(cfg.mean), tuple(cfg.std))
+    if out is None:
+        out = np.empty(clip.shape, dtype=np.float32)
+    for channel in range(3):
+        np.take(tables[channel], clip[..., channel], out=out[..., channel])
+    return out
 
 
 def preprocess_clip(raw: RawClip, cfg: PreprocessConfig) -> np.ndarray:
-    """select -> resize -> normalize; (t_frames, side, side, 3) float32."""
-    frames = select_frames(raw, cfg.t_frames)
-    resized = np.stack([resize_bilinear(f, cfg.side) for f in frames])
-    return normalize(resized, cfg)
+    """select -> resize -> normalize; (t_frames, side, side, 3) float32.
+
+    Each distinct frame index is resized once, straight from ``raw.frames``
+    (a mapped file is not copied), and normalized into its slot of the one
+    output array; a repeated index copies the slot already filled.
+    """
+    out = np.empty((cfg.t_frames, cfg.side, cfg.side, 3), dtype=np.float32)
+    filled: dict[int, int] = {}
+    for slot, index in enumerate(frame_indices(raw.frame_count, cfg.t_frames)):
+        if index in filled:
+            out[slot] = out[filled[index]]
+        else:
+            normalize(resize_bilinear(raw.frames[index], cfg.side), cfg, out=out[slot])
+            filled[index] = slot
+    return out
 
 
 class Command:

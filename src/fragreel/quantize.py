@@ -126,6 +126,12 @@ def calibrate_activations(params: ModelParams, calib_clips, prompt_sets) -> dict
 def quantize_model(checkpoint_in, checkpoint_out, calib_clips, prompt_sets) -> dict:
     """FP32 checkpoint -> quantized checkpoint with calibrated activations."""
     params, header = load_checkpoint(checkpoint_in)
+    return quantize_params(params, header, checkpoint_out, calib_clips, prompt_sets)
+
+
+def quantize_params(params: ModelParams, header: dict, checkpoint_out, calib_clips,
+                    prompt_sets) -> dict:
+    """``quantize_model`` on a loaded fp32 checkpoint's params and header."""
     scales = calibrate_activations(params, calib_clips, prompt_sets)
     qtensors = {}
     for name, tensor in params.tensors.items():

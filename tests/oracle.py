@@ -174,3 +174,50 @@ def o_similarity_logits(v: np.ndarray, base_embeddings: np.ndarray, p: dict,
         c_bar = o_video_prompt(c, v, p, n_blocks, n_heads, alpha)
         logits[i] = scale * o_cosine(v, c_bar)
     return logits
+
+
+# Preprocessing as the whole-frame float64 formulas: the bytes that the
+# production path, which gathers pixels first and looks values up in tables,
+# must reproduce exactly.
+
+def o_select_frames(frames: np.ndarray, t: int) -> np.ndarray:
+    """``t`` frames at indices round(i * (F - 1) / (t - 1))."""
+    count = frames.shape[0]
+    if t == 1:
+        return frames[[0]]
+    return frames[[int(round(i * (count - 1) / (t - 1))) for i in range(t)]]
+
+
+def o_resize_bilinear(frame: np.ndarray, side: int) -> np.ndarray:
+    """Half-pixel-center bilinear resize of the whole frame in float64."""
+    height, width = frame.shape[:2]
+    if height == side and width == side:
+        return frame.copy()
+
+    def axis_coords(n_src: int):
+        coords = (np.arange(side, dtype=np.float64) + 0.5) * (n_src / side) - 0.5
+        coords = np.clip(coords, 0.0, n_src - 1.0)
+        lo = np.floor(coords).astype(np.intp)
+        hi = np.minimum(lo + 1, n_src - 1)
+        return lo, hi, coords - lo
+
+    y0, y1, fy = axis_coords(height)
+    x0, x1, fx = axis_coords(width)
+    src = frame.astype(np.float64)
+    fy = fy[:, None, None]
+    fx = fx[None, :, None]
+    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
+    bottom = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
+    out = top * (1 - fy) + bottom * fy
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+def o_normalize(clip: np.ndarray, mean, std) -> np.ndarray:
+    mean = np.asarray(mean, dtype=np.float64)
+    std = np.asarray(std, dtype=np.float64)
+    return ((clip.astype(np.float64) - mean) / std).astype(np.float32)
+
+
+def o_preprocess_clip(frames: np.ndarray, t: int, side: int, mean, std) -> np.ndarray:
+    picked = o_select_frames(frames, t)
+    return o_normalize(np.stack([o_resize_bilinear(f, side) for f in picked]), mean, std)

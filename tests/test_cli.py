@@ -512,6 +512,21 @@ class TestExitCodes:
         assert f"{preds}, line 2" in capsys.readouterr().err
         assert not (tmp_path / "h.json").exists()
 
+    def test_probability_outside_unit_interval_names_file_and_line(self, env, tmp_path, capsys):
+        good = env["artifacts"]["predictions"].read_text().splitlines()[0]
+        bad = json.dumps({"second": 1, "label": "Kill", "probability": 1.5, "probs": {"Kill": 1.5}})
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(f"{good}\n{bad}\n")
+        rc = run_cli([
+            "highlight", "--config", env["config"], "--predictions", preds,
+            "--game", GAME, "--targets", "Kill", "--out", tmp_path / "h.json",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"{preds}, line 2" in err
+        assert "probability 1.5 outside [0, 1]" in err
+        assert not (tmp_path / "h.json").exists()
+
     @pytest.mark.parametrize("seconds, named", [
         ([0, 1, 2, 103, 104, 105, 106, 107], "second 3 is missing"),
         ([0, 0, 1, 2], "second 0 is repeated"),
@@ -537,7 +552,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("preprocess", [{"t_frames": 2, "side": 8}, {"t_frames": 3, "side": 4}],
                              ids=["side", "t_frames"])
-    @pytest.mark.parametrize("command", ["detect", "bench", "eval"])
+    @pytest.mark.parametrize("command", ["detect", "bench", "eval", "quantize"])
     def test_clip_shape_unlike_the_checkpoint_is_config_error_before_any_clip(
             self, env, tmp_path, capsys, monkeypatch, command, preprocess):
         def no_clips(*args, **kwargs):
@@ -554,6 +569,8 @@ class TestExitCodes:
         out = tmp_path / "out.json"
         if command == "eval":
             argv = ["eval", "--manifest", env["artifacts"]["manifest"], "--split", "all"]
+        elif command == "quantize":
+            argv = ["quantize", "--manifest", env["artifacts"]["manifest"]]
         else:
             argv = [command, "--game", GAME, "--video", "bravo.rgbc", "--seconds", 2]
         rc = run_cli([*argv, "--config", cfg_path, "--checkpoint", checkpoint, "--out", out])

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from fragreel import frames
 from fragreel.annotations import ClipRef
 from fragreel.catalogue import EventLabel, GameId
@@ -27,12 +28,12 @@ from fragreel.frames import (
     PreprocessConfig,
     RawClip,
     extract_second,
+    frame_indices,
     normalize,
     preprocess_clip,
     read_rgbc,
     read_rgbc_file,
     resize_bilinear,
-    select_frames,
     write_rgbc,
 )
 
@@ -122,24 +123,24 @@ class TestExtractSecond:
 
 
 class TestSelectFrames:
+    """The uniform stride rule of ``frame_indices``."""
+
     def test_exact_count_is_identity(self):
-        clip = random_clip(frames=4)
-        np.testing.assert_array_equal(select_frames(clip, 4), clip.frames)
+        assert frame_indices(4, 4) == [0, 1, 2, 3]
 
     def test_downsample_indices(self):
-        clip = random_clip(frames=9)
         # round(i * 8 / 3) for i in 0..3 -> 0, 3, 5, 8
-        picked = select_frames(clip, 4)
-        np.testing.assert_array_equal(picked, clip.frames[[0, 3, 5, 8]])
+        assert frame_indices(9, 4) == [0, 3, 5, 8]
 
     def test_upsample_repeats(self):
-        clip = random_clip(frames=2)
-        picked = select_frames(clip, 4)
-        np.testing.assert_array_equal(picked, clip.frames[[0, 0, 1, 1]])
+        assert frame_indices(2, 4) == [0, 0, 1, 1]
 
     def test_single_frame_request(self):
-        clip = random_clip(frames=5)
-        np.testing.assert_array_equal(select_frames(clip, 1), clip.frames[[0]])
+        assert frame_indices(5, 1) == [0]
+
+    def test_empty_clip_raises(self):
+        with pytest.raises(EmptyClip):
+            frame_indices(0, 4)
 
 
 class TestResizeBilinear:
@@ -182,6 +183,97 @@ class TestNormalize:
         out = preprocess_clip(random_clip(frames=8, height=6, width=6), cfg)
         assert out.shape == (3, 4, 4, 3)
         assert out.dtype == np.float32
+
+
+class TestPreprocessExactness:
+    """The pixel-gathering resize, the table normalize and the one-buffer
+    clip assembly give the bytes of the whole-frame float64 formulas."""
+
+    @pytest.mark.parametrize("height,width,side", [
+        (1080, 1920, 224),  # the 1080p deployment input
+        (36, 64, 224),  # the finetune source, upscaled
+        (37, 50, 23),  # non-square, odd sides
+        (224, 300, 224),  # one axis already at size
+        (1, 1, 5),
+        (1, 7, 3),
+        (9, 1, 224),
+        (17, 9, 1),
+    ])
+    def test_resize_matches_the_whole_frame_formula(self, height, width, side):
+        rng = np.random.default_rng(height * 7919 + width * 31 + side)
+        for _ in range(2):
+            frame = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+            got = resize_bilinear(frame, side)
+            assert got.dtype == np.uint8 and got.shape == (side, side, 3)
+            np.testing.assert_array_equal(got, oracle.o_resize_bilinear(frame, side))
+
+    def test_resize_rounds_exact_ties_half_to_even(self):
+        # a 2x downscale averages each 2x2 block; blocks of v and v + 1 make
+        # every output exactly v + 0.5
+        rng = np.random.default_rng(5)
+        v = rng.integers(0, 255, size=(16, 16, 3), dtype=np.uint8)
+        frame = np.repeat(np.stack([v, v + 1], axis=2).reshape(16, 32, 3), 2, axis=0)
+        got = resize_bilinear(frame, 16)
+        np.testing.assert_array_equal(got, v + v % 2)
+        np.testing.assert_array_equal(got, oracle.o_resize_bilinear(frame, 16))
+
+    @pytest.mark.parametrize("mean,std", [
+        (frames.DEFAULT_MEAN, frames.DEFAULT_STD),
+        ((0.5, 200.25, 7.0), (1.5, 0.3, 300.0)),
+    ], ids=["default", "custom"])
+    def test_normalize_matches_the_formula_for_every_value(self, mean, std):
+        cfg = PreprocessConfig(mean=mean, std=std)
+        values = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1)  # (256, 3)
+        clip = np.stack([values, values[::-1]]).reshape(2, 16, 16, 3)
+        got = normalize(clip, cfg)
+        want = oracle.o_normalize(clip, mean, std)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        slot = np.empty((16, 16, 3), dtype=np.float32)
+        assert normalize(clip[1], cfg, out=slot) is slot
+        assert slot.tobytes() == want[1].tobytes()
+
+    def test_normalize_rejects_non_uint8(self):
+        with pytest.raises(ValueError, match="uint8"):
+            normalize(np.zeros((1, 2, 2, 3), dtype=np.int16), PreprocessConfig())
+
+    @pytest.mark.parametrize("count,fps", [(24, 24), (25, 25), (30, 30), (60, 60), (5, 30)],
+                             ids=["24fps", "25fps", "30fps", "60fps", "fewer_than_t"])
+    def test_clip_matches_select_resize_normalize(self, monkeypatch, count, fps):
+        cfg = PreprocessConfig(t_frames=32, side=16)
+        raw = random_clip(frames=count, height=27, width=48, fps=fps, seed=count)
+        calls = []
+
+        def counted(frame, side):
+            calls.append(frame)
+            return resize_bilinear(frame, side)
+
+        monkeypatch.setattr(frames, "resize_bilinear", counted)
+        got = preprocess_clip(raw, cfg)
+        want = oracle.o_preprocess_clip(raw.frames, cfg.t_frames, cfg.side, cfg.mean, cfg.std)
+        assert got.shape == (32, 16, 16, 3) and got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert len(calls) == len(set(frame_indices(count, cfg.t_frames)))
+
+    def test_sparse_1080p_second_peaks_under_twice_the_clip(self, tmp_path):
+        # one second of 1080p30, all holes on disk, at the shipped preprocessing
+        folder = tmp_path / "CSGO"
+        folder.mkdir()
+        with open(folder / "big.rgbc", "wb") as fh:
+            fh.write(b"RGBC" + struct.pack("<5I", 1920, 1080, 30, 30, 1))
+            fh.truncate(24 + 30 * 1080 * 1920 * 3)
+        store = ClipStore(data_root=tmp_path, preprocess=PreprocessConfig())
+        clip_at = store.clips(GameId.CSGO, "big")
+        tracemalloc.start()
+        try:
+            clip = clip_at(0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert clip.shape == (32, 224, 224, 3)
+        zero = normalize(np.zeros((224, 224, 3), np.uint8), store.preprocess)
+        np.testing.assert_array_equal(clip, np.broadcast_to(zero, clip.shape))
+        assert peak < 2 * clip.nbytes
 
 
 class TestClipStore:
