@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough machinery for a small transformer: broadcasting elementwise ops,
-(batched) matmul, reductions, shape ops, layernorm, softmax variants and
-GELU, each with a hand-derived backward. Tensors are float32 for training
+(batched) matmul, a fused flat linear, reductions, shape ops, layernorm,
+softmax variants and GELU, each with a hand-derived backward. Tensors are float32 for training
 and inference; the same graph runs in float64 for oracle and gradient tests.
 
 Gradient tracking is per-thread: ``no_grad()`` disables graph construction
@@ -61,7 +61,15 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into every reachable tensor.
+
+        The graph is spent as it goes: once a node has passed its gradient
+        to its parents it drops that gradient, its closure (with the arrays
+        it saved) and its parents, so interior activations are freed during
+        the pass and nothing below this tensor stays alive after it. Leaves,
+        the tensors without a backward closure, keep ``grad``. A graph can
+        therefore be differentiated once.
+        """
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
         topo: list[Tensor] = []
@@ -80,13 +88,19 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        while topo:
+            node = topo.pop()  # reverse topological order; the list lets go of it
+            if node._backward is None:
                 continue
-            for parent, grad in zip(node._parents, node._backward(node.grad)):
-                if grad is None or not parent.requires_grad:
-                    continue
-                parent.grad = grad if parent.grad is None else parent.grad + grad
+            if node.grad is not None:
+                for parent, grad in zip(node._parents, node._backward(node.grad)):
+                    if grad is None or not parent.requires_grad:
+                        continue
+                    # out of place: add hands the same array to both parents
+                    parent.grad = grad if parent.grad is None else parent.grad + grad
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
     # operator sugar ------------------------------------------------------
 
@@ -197,11 +211,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = gb = None  # an operand that needs no gradient gets none computed
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
     return _make(data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a 2-D x, as one node: the bias is added into the
+    product's own buffer, and backward runs three flat products."""
+    if x.data.ndim != 2:
+        raise ValueError("linear input must be 2-D")
+    data = np.matmul(x.data, w.data)
+    data += b.data
+
+    def backward(g):
+        gx = g @ w.data.T if x.requires_grad else None
+        gw = x.data.T @ g if w.requires_grad else None
+        gb = g.sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _make(data, (x, w, b), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -267,9 +301,9 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis; rows are probability vectors."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def backward(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
@@ -298,8 +332,10 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     centered = x.data - mu
     var = (centered**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    xhat = centered
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
         reduce_axes = tuple(range(g.ndim - 1))
@@ -319,7 +355,12 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    # np.sqrt(2.0) is a float64 scalar, so a float32 x gives a float64 CDF and
+    # output; perfbench's stored int8 reference was made with that dtype
+    cdf = x / np.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
 
     def backward(g):

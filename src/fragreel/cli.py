@@ -183,6 +183,10 @@ def _split_examples(manifest, store, run: RunConfig):
     return train_set, test_set
 
 
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
+
+
 def cmd_train(args, run: RunConfig) -> int:
     manifest = _read(args.manifest, manifest_from_json)
     store = _store(run)
@@ -193,6 +197,17 @@ def cmd_train(args, run: RunConfig) -> int:
         Path(args.history).parent.mkdir(parents=True, exist_ok=True)
         Path(args.history).unlink(missing_ok=True)
     Path(args.checkpoint).parent.mkdir(parents=True, exist_ok=True)
+    last_step = time.perf_counter()
+
+    def progress(epoch, step, loss):
+        # seconds since the last line, so an epoch's first step also
+        # counts the previous epoch's evaluation and checkpoint
+        nonlocal last_step
+        now = time.perf_counter()
+        logger.info("train: epoch %d step %d loss %.6f, %.2f s, max RSS %.0f MB",
+                    epoch, step, loss, now - last_step, _peak_rss_mb())
+        last_step = now
+
     history = train(
         train_set,
         val_set,
@@ -201,6 +216,7 @@ def cmd_train(args, run: RunConfig) -> int:
         catalogue=catalogue,
         checkpoint_path=args.checkpoint,
         history_path=args.history,
+        on_step=progress,
     )
     last = history[-1]
     logger.info(
@@ -353,7 +369,7 @@ def cmd_bench(args, run: RunConfig) -> int:
         "latency_max_s": max(latencies),
         "latencies_s": latencies,
         "blas_threads": blas_threads(),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # Linux: KiB
+        "peak_rss_mb": _peak_rss_mb(),
     }
     text = json.dumps(report, sort_keys=True) + "\n"
     if args.out:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 
+from . import autodiff
 from .autodiff import (
     Tensor,
     gelu,
@@ -52,13 +53,20 @@ def prunes_rows(qctx) -> bool:
 
 
 def linear(x: Tensor, params, prefix: str, qctx=None) -> Tensor:
-    """x @ w + b with parameters ``{prefix}.w`` and ``{prefix}.b``."""
+    """x @ w + b with parameters ``{prefix}.w`` and ``{prefix}.b``.
+
+    Leading axes are merged so the product is one flat gemm, then split
+    again; a 2-D input goes straight through.
+    """
     w = params[f"{prefix}.w"]
     b = params[f"{prefix}.b"]
     if x.shape[-1] != w.shape[0]:
         raise ShapeMismatch(f"{prefix}: input width {x.shape[-1]} != {w.shape[0]}")
     x = qpass(qctx, f"{prefix}:in", x)
-    return matmul(x, w) + b
+    if x.data.ndim == 2:
+        return autodiff.linear(x, w, b)
+    flat = autodiff.linear(reshape(x, (-1, w.shape[0])), w, b)
+    return reshape(flat, (*x.shape[:-1], w.shape[1]))
 
 
 def layer_norm(x: Tensor, params, prefix: str) -> Tensor:

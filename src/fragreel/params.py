@@ -251,16 +251,6 @@ class ModelParams:
     def trainable_names(self, freeze: frozenset[str] | set[str]) -> list[str]:
         return [n for n in self.names() if group_of(n) not in freeze]
 
-    def astype(self, dtype) -> "ModelParams":
-        tensors = {
-            name: Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
-            for name, t in self.tensors.items()
-        }
-        return ModelParams(self.config, tensors)
-
-    def copy(self) -> "ModelParams":
-        return self.astype(next(iter(self.tensors.values())).dtype)
-
     def zero_grads(self) -> None:
         for t in self.tensors.values():
             t.zero_grad()

@@ -1,7 +1,7 @@
 """Finetuning: cross-entropy over classification outputs, AdamW, cosine LR.
 
-The text encoder and prompting blocks are frozen by default; their tensors
-still participate in the forward graph, but their gradients are discarded
+The text encoder and prompting blocks are frozen by default: training marks
+their tensors as needing no gradient, so the graph computes none for them,
 and the optimizer never touches them. The learning rate decays per epoch on
 a cosine from lr_max to lr_min. After every epoch the test split is scored
 and a checkpoint is written whenever validation accuracy strictly improves
@@ -171,8 +171,9 @@ def train(
 ) -> list[dict]:
     """Finetune ``params`` in place and return the per-epoch history.
 
-    ``params`` end at the last epoch. The best parameters are the
-    checkpoint, written to ``checkpoint_path`` whenever the monitored
+    ``params`` end at the last epoch, each tensor's ``requires_grad`` set
+    to whether ``cfg.freeze`` leaves it trainable. The best parameters are
+    the checkpoint, written to ``checkpoint_path`` whenever the monitored
     accuracy strictly improves, so the saved accuracy sequence is strictly
     increasing. ``on_step(epoch, step, loss)`` observes per-batch losses.
     """
@@ -181,6 +182,8 @@ def train(
     text_grad = "text_encoder" not in cfg.freeze
     prompt_sets = _prompt_sets_for([*train_set, *val_set], catalogue)
     trainable = set(params.trainable_names(cfg.freeze))
+    for name in params.names():
+        params[name].requires_grad = name in trainable
     state = OptimizerState()
     best_metric = -math.inf
     history: list[dict] = []

@@ -53,7 +53,8 @@ def embed_frames(patches: Tensor | np.ndarray, params: ModelParams, cfg: Encoder
             f"patches {patches.shape} do not match config (N={cfg.n_patches}, dim={cfg.patch_dim})"
         )
     patches = qpass(qctx, "video.patch_proj:in", patches)
-    proj = matmul(patches, params["video.patch_proj"])  # (T, N, d)
+    flat = matmul(reshape(patches, (t * n, pd)), params["video.patch_proj"])  # one gemm
+    proj = reshape(flat, (t, n, cfg.d_model))
     cls = reshape(params["video.class_token"], (1, 1, cfg.d_model))
     cls_rows = cls + Tensor(np.zeros((t, 1, cfg.d_model), dtype=proj.dtype))
     z = concat([cls_rows, proj], axis=1)

@@ -138,7 +138,7 @@ def overfit_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("overfit")
     examples = overfit_clips()
     initial = ModelParams.init(toy_model_config(), seed=7)
-    params = initial.copy()
+    params = ModelParams.init(toy_model_config(), seed=7)
     ckpt = out / "model.xckp"
     hist = out / "history.jsonl"
     epoch_end: dict[int, dict[str, bytes]] = {}

@@ -6,7 +6,8 @@ with the package. Tests compare the production forward pass to these
 functions; agreement is required to 1e-10 in float64.
 
 All functions take ``p``, a plain dict mapping parameter names to float64
-arrays, plus explicit dimension arguments.
+arrays, plus explicit dimension arguments. The reference backward at the end
+walks the package's ``Tensor`` graph but shares none of its code.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import erf
 
 LN_EPS = 1e-5
 COS_EPS = 1e-30
@@ -221,3 +223,48 @@ def o_normalize(clip: np.ndarray, mean, std) -> np.ndarray:
 def o_preprocess_clip(frames: np.ndarray, t: int, side: int, mean, std) -> np.ndarray:
     picked = o_select_frames(frames, t)
     return o_normalize(np.stack([o_resize_bilinear(f, side) for f in picked]), mean, std)
+
+
+# The autodiff forwards as first written, one fresh array per step, and the
+# backward that keeps the whole graph: the bytes that the in-place forwards
+# and the graph-releasing backward must reproduce. The softmax is
+# ``o_softmax_rows`` above.
+
+def o_layernorm_fresh(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = centered * inv
+    return xhat * gain + bias
+
+
+def o_gelu_fresh(x: np.ndarray) -> np.ndarray:
+    """scipy's erf; np.sqrt(2.0) is a float64 scalar, so float32 x gives float64."""
+    return x * (0.5 * (1.0 + erf(x / np.sqrt(2.0))))
+
+
+def keep_graph_backward(loss) -> None:
+    """Backward over a scalar ``Tensor`` that releases nothing: every node
+    keeps its gradient, closure and parents."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is None or node.grad is None:
+            continue
+        for parent, grad in zip(node._parents, node._backward(node.grad)):
+            if grad is None or not parent.requires_grad:
+                continue
+            parent.grad = grad if parent.grad is None else parent.grad + grad

@@ -8,8 +8,11 @@ match (f(x+h) - f(x-h)) / 2h in float64.
 from __future__ import annotations
 
 import numpy as np
+import oracle
 import pytest
+from conftest import toy_model_config
 
+from fragreel import layers
 from fragreel.autodiff import (
     Tensor,
     _is_basic_index,
@@ -18,6 +21,7 @@ from fragreel.autodiff import (
     concat,
     gelu,
     layernorm,
+    linear,
     log_softmax,
     matmul,
     mean,
@@ -28,7 +32,11 @@ from fragreel.autodiff import (
     sum_,
     transpose,
 )
+from fragreel.catalogue import GameId
 from fragreel.errors import NonFiniteActivation
+from fragreel.params import ModelParams
+from fragreel.textmodel import classification_logits, prompt_set_for
+from fragreel.videomodel import encode_video
 
 H = 1e-6
 TOL = 1e-7
@@ -107,6 +115,47 @@ class TestMatmulGrads:
 
     def test_batched_broadcast_rhs(self):
         check_op(lambda a, b: matmul(a, b), (2, 3, 4), (4, 5))
+
+
+class TestLinear:
+    """The fused linear: one node, x @ w + b, flat products in backward."""
+
+    def test_grads(self):
+        check_op(linear, (5, 4), (4, 3), (3,), seed=6)
+
+    def test_layers_linear_grads_on_3d_input(self):
+        def build(x, w, b):
+            return layers.linear(x, {"l.w": w, "l.b": b}, "l")
+
+        check_op(build, (2, 3, 4), (4, 5), (5,), seed=7)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [2, 3, 17])
+    def test_forward_bytes_equal_batched_matmul_plus_bias(self, dtype, rows):
+        # one row per batch is left out: numpy runs that case row by row
+        rng = np.random.default_rng(rows)
+        shapes = ((6, rows, 24), (24, 40), (40,))
+        x, w, b = (Tensor(rng.normal(size=s).astype(dtype)) for s in shapes)
+        got = layers.linear(x, {"l.w": w, "l.b": b}, "l").data
+        want = (matmul(x, w) + b).data
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_rejects_non_2d_input(self):
+        with pytest.raises(ValueError):
+            linear(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+
+    def test_no_gradient_for_operands_that_need_none(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(3, 4)))
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2,)))
+        g = rng.normal(size=(3, 2))
+        gx, gw, gb = linear(x, w, b)._backward(g)
+        assert gx is None and gb is None
+        assert gw.tobytes() == (x.data.T @ g).tobytes()
+        ga, gm = matmul(x, w)._backward(g)
+        assert ga is None and gm.tobytes() == gw.tobytes()
 
 
 class TestShapeGrads:
@@ -214,6 +263,34 @@ class TestNormalizerGrads:
         check_op(lambda x, g, b: layernorm(x, g, b), (3, 6), (6,), (6,), seed=5)
 
 
+class TestFreshArrayFormulas:
+    """softmax, layernorm and gelu work in buffers they own, with the same
+    bytes as the formulas that made a fresh array per step."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax(self, dtype):
+        x = (np.random.default_rng(0).normal(size=(3, 5, 7)) * 4).astype(dtype)
+        got = softmax(Tensor(x)).data
+        want = oracle.o_softmax_rows(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layernorm(self, dtype):
+        rng = np.random.default_rng(1)
+        x, g, b = (rng.normal(size=s).astype(dtype) for s in ((4, 6, 9), (9,), (9,)))
+        got = layernorm(Tensor(x), Tensor(g), Tensor(b)).data
+        want = oracle.o_layernorm_fresh(x, g, b)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu(self, dtype):
+        x = (np.random.default_rng(2).normal(size=(5, 11)) * 3).astype(dtype)
+        got = gelu(Tensor(x)).data
+        want = oracle.o_gelu_fresh(x)
+        assert got.dtype == want.dtype == np.float64  # float32 in, float64 out
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSoftmaxValues:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -262,6 +339,53 @@ class TestGraphMechanics:
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError):
             (a * 1.0).backward()
+
+
+class TestGraphRelease:
+    """backward frees the graph it has spent; the leaf gradients are those
+    of a backward that keeps everything."""
+
+    def toy_loss(self, params):
+        clip_ = np.random.default_rng(5).normal(size=(2, 4, 4, 3))
+        v = encode_video(clip_, params)
+        logits = classification_logits(v, prompt_set_for(GameId.OW2), params, text_grad=True)
+        return reshape(-log_softmax(logits)[1], (1,))
+
+    def graph_nodes(self, loss):
+        nodes, seen, stack = [], set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        return nodes
+
+    def test_interior_nodes_released_and_leaf_grads_unchanged(self):
+        params = ModelParams.init(toy_model_config(), seed=7, dtype=np.float64)
+        loss = self.toy_loss(params)
+        interior = [n for n in self.graph_nodes(loss) if n._backward is not None]
+        assert len(interior) > 100
+        loss.backward()
+        for node in interior:
+            assert node.grad is None and node._parents == () and node._backward is None
+        got = {name: params[name].grad.tobytes() for name in params.names()}
+
+        params.zero_grads()
+        oracle.keep_graph_backward(self.toy_loss(params))
+        assert got == {name: params[name].grad.tobytes() for name in params.names()}
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_add_hands_both_parents_the_same_array_without_harm(self, add_first):
+        # add passes one gradient array to a and to b; a then gets a second
+        # contribution, which must not be added into b's gradient as well
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        terms = [sum_(a + b), sum_(a * a)]
+        loss = terms[0] + terms[1] if add_first else terms[1] + terms[0]
+        loss.backward()
+        np.testing.assert_array_equal(a.grad, 2.0 * a.data + 1.0)
+        np.testing.assert_array_equal(b.grad, np.ones(2))
 
 
 class TestAssertFinite:

@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline over a synthetic two-video dataset."""
 
 import json
+import logging
+import re
 import shlex
 import sys
 from fractions import Fraction
@@ -204,6 +206,27 @@ class TestReruns:
         assert len(again) == 8
         for name, path in env["artifacts"].items():
             assert again[name].read_bytes() == path.read_bytes(), name
+
+    def test_verbose_train_logs_each_step_and_writes_the_same_bytes(self, env, tmp_path,
+                                                                     caplog):
+        caplog.set_level(logging.INFO, logger="fragreel")
+        art = env["artifacts"]
+        out = {"checkpoint": tmp_path / "model.xckp", "history": tmp_path / "history.jsonl"}
+        assert run_cli(["-v", "train", "--config", env["config"], "--manifest", art["manifest"],
+                        "--checkpoint", out["checkpoint"], "--history", out["history"]]) == 0
+        step = re.compile(r"train: epoch (\d+) step (\d+) loss (\S+), (\S+) s, max RSS (\d+) MB$")
+        lines = [step.match(r.getMessage()) for r in caplog.records if r.name == "fragreel"]
+        steps = [m.groups() for m in lines if m]
+        manifest = manifest_from_json(art["manifest"].read_text())
+        n_train = sum(e.split == "train" for e in manifest.entries)
+        per_epoch = -(-n_train // TOY_CONFIG["train"]["batch_size"])
+        assert [(int(e), int(s)) for e, s, *_ in steps] == [
+            (e, s) for e in range(TOY_CONFIG["train"]["epochs"]) for s in range(per_epoch)
+        ]
+        for _, _, loss, seconds, rss in steps:
+            assert float(loss) > 0 and float(seconds) >= 0 and int(rss) > 0
+        for name, path in out.items():
+            assert path.read_bytes() == art[name].read_bytes(), name
 
     def test_seed_override_changes_sampling(self, env, tmp_path):
         out_a = tmp_path / "a.json"

@@ -137,7 +137,7 @@ class TestInit:
 
     def test_float64_init(self):
         params = ModelParams.init(toy_model_config(), seed=0, dtype=np.float64)
-        assert params["video.patch_proj"].dtype == np.float64
+        assert all(params[n].dtype == np.float64 for n in params.names())
 
 
 class TestModelParams:
@@ -146,16 +146,6 @@ class TestModelParams:
         names = params.trainable_names(frozenset({"text_encoder", "prompting_module"}))
         assert names
         assert all(n.startswith(("video.", "head.")) for n in names)
-
-    def test_copy_is_independent(self):
-        params = ModelParams.init(toy_model_config(), seed=0)
-        dup = params.copy()
-        dup["video.class_token"].data[:] = 9.0
-        assert not np.array_equal(params["video.class_token"].data, dup["video.class_token"].data)
-
-    def test_astype_converts_everything(self):
-        params = ModelParams.init(toy_model_config(), seed=0).astype(np.float64)
-        assert all(params[n].dtype == np.float64 for n in params.names())
 
     def test_zero_grads_clears(self):
         from fragreel.autodiff import sum_

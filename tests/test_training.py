@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from fragreel.checkpoint import load_checkpoint
 from fragreel.errors import ConfigError, NonFiniteGradient
 from fragreel.frames import ClipStore, PreprocessConfig, RawClip, write_rgbc
 from fragreel.annotations import ClipRef
-from fragreel.params import ModelParams
-from fragreel.textmodel import base_embeddings, classify, prompt_set_for
+from fragreel.params import EncoderConfig, ModelParams
+from fragreel.textmodel import PromptCache, base_embeddings, classify, prompt_set_for
 from fragreel.training import (
     DEFAULT_FREEZE,
     OptimizerState,
@@ -33,7 +35,7 @@ SCALAR = "head.logit_scale"
 
 
 def scalar_params(value: float) -> ModelParams:
-    params = ModelParams.init(toy_model_config(), seed=0).astype(np.float64)
+    params = ModelParams.init(toy_model_config(), seed=0, dtype=np.float64)
     params[SCALAR].data[...] = value
     return params
 
@@ -159,6 +161,71 @@ class TestFreezing:
             if initial[name].data.tobytes() != final[name].data.tobytes()
         }
         assert "video" in moved and "head" in moved
+
+
+class TestFrozenGradients:
+    """Frozen tensors need no gradient, so a training step computes none."""
+
+    def test_default_freeze_step_skips_frozen_and_keeps_trainable_grads(self):
+        examples = overfit_clips()[:1]
+        params = ModelParams.init(toy_model_config(), seed=7)
+        train(examples, [], params, TrainConfig(epochs=1, batch_size=1, seed=3))
+        frozen = [n for n in params.names() if n.startswith(("text.", "prompt."))]
+        assert frozen
+        for name in frozen:
+            assert params[name].grad is None, name
+
+        # the same step with every tensor trainable, as init leaves them
+        everything = ModelParams.init(toy_model_config(), seed=7)
+        prompt_sets = {GameId.OW2: prompt_set_for(GameId.OW2)}
+        loss, _ = training._batch_loss(examples, everything, prompt_sets, PromptCache(), False)
+        loss.backward()
+        trainable = params.trainable_names(DEFAULT_FREEZE)
+        assert all(everything[n].grad is not None for n in frozen if n.startswith("prompt."))
+        for name in trainable:
+            assert params[name].grad.tobytes() == everything[name].grad.tobytes(), name
+
+
+class TestTrainingMemory:
+    """A step's graph is freed by its backward, so step k + 1's forward does
+    not run while step k's graph is still held."""
+
+    def test_two_steps_peak_near_one_forward_graph(self):
+        # 8 frames of 256 patches: the FFN hidden activations are 2 MB each
+        cfg = replace(toy_model_config(), encoder=EncoderConfig(
+            t_frames=8, side=64, patch=4, d_model=32, n_heads=2,
+            n_cct_layers=2, n_mit_layers=1, d_ffn=128,
+        ))
+        rng = np.random.default_rng(0)
+        examples = [
+            TrainExample(rng.normal(size=(8, 64, 64, 3)).astype(np.float32), GameId.OW2, label)
+            for label in (EventLabel.KILL, EventLabel.DEATH)
+        ]
+        prompt_sets = {GameId.OW2: prompt_set_for(GameId.OW2)}
+
+        params = ModelParams.init(cfg, seed=7)
+        trainable = set(params.trainable_names(DEFAULT_FREEZE))
+        for name in params.names():
+            params[name].requires_grad = name in trainable
+        cache = PromptCache()
+        base_embeddings(prompt_sets[GameId.OW2], params, cache)
+        tracemalloc.start()
+        try:
+            loss, _ = training._batch_loss(examples[:1], params, prompt_sets, cache, False)
+            graph = tracemalloc.get_traced_memory()[0]
+            del loss
+        finally:
+            tracemalloc.stop()
+
+        params = ModelParams.init(cfg, seed=7)
+        tracemalloc.start()
+        try:
+            train(examples, [], params, TrainConfig(epochs=1, batch_size=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph > 10e6
+        assert peak <= 1.3 * graph, f"peak {peak / 1e6:.1f} MB, graph {graph / 1e6:.1f} MB"
 
 
 class TestPromptCacheLifetime:
