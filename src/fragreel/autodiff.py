@@ -16,7 +16,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NonFiniteActivation
 
@@ -354,6 +353,10 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
+    # imported here, not at module level: scipy takes about half of the
+    # package's import time, and commands that run no model never need it
+    from scipy.special import erf
+
     x = a.data
     # np.sqrt(2.0) is a float64 scalar, so a float32 x gives a float64 CDF and
     # output; perfbench's stored int8 reference was made with that dtype

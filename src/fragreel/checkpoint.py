@@ -1,31 +1,44 @@
 """Checkpoint containers.
 
 Both formats share one layout: magic bytes, a u32 little-endian format
-version, a u32 little-endian JSON header length, the JSON header, then the
-raw tensor payload. The header carries the model config, training metadata
-(epoch, validation accuracy) and a tensor index mapping each name to dtype,
-shape, and byte offset into the payload. Tensors are serialized
-little-endian in sorted-name order, so a rerun with identical state
-produces byte-identical files. On load every index entry is checked
-(known dtype, non-negative int shape and offset, inside the payload, no
-overlap with another tensor, and for int8 files a finite positive scale);
-a failed check is a DataError naming the file and the tensor. An int8
-file's activation scales get the same scale check, naming the site.
+version, a u32 little-endian JSON header length, the JSON header, zero
+bytes up to the next multiple of 64, then the raw tensor payload. The
+header carries the model config, training metadata (epoch, validation
+accuracy) and a tensor index mapping each name to dtype, shape, and byte
+offset into the payload. Tensors are serialized little-endian in
+sorted-name order, each at an offset that is a multiple of its dtype's
+itemsize (zero bytes fill any gap), so a rerun with identical state
+produces byte-identical files.
+
+Loading maps the file read-only and returns ``np.frombuffer`` views over
+the mapping, so no tensor is copied: pages are read as they are touched,
+and the arrays are read-only, so nothing can write into a loaded tensor.
+A writer fills a temporary file beside the target and then renames it over
+the target, so a process that has the old file mapped keeps its old bytes.
+On load every index entry is checked (known dtype, non-negative int shape,
+non-negative int offset that is a multiple of the itemsize, inside the
+payload, no overlap with another tensor, and for int8 files a finite
+positive scale); a failed check is a DataError naming the file and the
+tensor, as is a file too short for its header. An int8 file's activation
+scales get the same scale check, naming the site.
 
 "XCKP1" stores float32 tensors. "XCKQ1" stores every tensor as int8 with a
 per-tensor symmetric scale in the index entry, plus calibrated activation
 scales under a dedicated header key. The int8 arithmetic is ``quantize``'s.
 
-Format version 2 dropped the query and key tensors of the prompting blocks,
-which could not affect any output; version-1 files are rejected. Loaders
-ignore header and index keys they do not read, so version-2 files that
-still carry a text version stamp or per-tensor zero points load unchanged.
+Format version 3 aligned the payload for mapping. Version 2 had dropped
+the query and key tensors of the prompting blocks, which could not affect
+any output. Files of either older version are rejected. Loaders ignore
+header and index keys they do not read, such as an old text version stamp
+or per-tensor zero points.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 import os
 import struct
 
@@ -37,7 +50,12 @@ from .params import ModelConfig, ModelParams, param_specs
 
 MAGIC_FP32 = b"XCKP1"
 MAGIC_QUANT = b"XCKQ1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# The payload starts on a 64-byte boundary, so each mapped tensor is aligned
+# for its dtype. Tensors themselves are aligned only to their itemsize: a
+# 64-byte gap after each of the many small tensors would take an int8 file
+# well past a quarter of its fp32 counterpart.
+PAYLOAD_ALIGN = 64
 
 _DTYPE_TO_CODE = {
     np.dtype(np.float32): "f32",
@@ -55,6 +73,11 @@ def _header_bytes(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _payload_start(magic: bytes, header_len: int) -> int:
+    end = len(magic) + 8 + header_len
+    return end + -end % PAYLOAD_ALIGN
+
+
 def write_container(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray],
                     tensor_extras: dict[str, dict] | None = None) -> None:
     """Serialize arrays under the shared container layout."""
@@ -70,6 +93,9 @@ def write_container(path, magic: bytes, header: dict, arrays: dict[str, np.ndarr
         if code is None:
             raise DataError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
         le = arr.astype(_CODE_TO_DTYPE[code], copy=False)
+        gap = -offset % le.itemsize
+        payload_parts.append(bytes(gap))
+        offset += gap
         raw = le.tobytes()
         entry = {"dtype": code, "shape": list(arr.shape), "offset": offset}
         if tensor_extras and name in tensor_extras:
@@ -80,47 +106,71 @@ def write_container(path, magic: bytes, header: dict, arrays: dict[str, np.ndarr
     full_header = dict(header)
     full_header["tensors"] = index
     blob = _header_bytes(full_header)
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for raw in payload_parts:
-            fh.write(raw)
+    head = magic + struct.pack("<II", FORMAT_VERSION, len(blob)) + blob
+    head += bytes(_payload_start(magic, len(blob)) - len(head))
+    _replace_file(path, [head, *payload_parts])
+
+
+def _replace_file(path, chunks) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, then rename it
+    over ``path``. Truncating ``path`` in place would pull the pages from
+    under any process that has it mapped (SIGBUS on the next read)."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _read_head(fh, path, magic: bytes) -> tuple[bytes, int, int]:
+    """(JSON header bytes, payload start, file size) of an open container;
+    a wrong magic, version or a file cut short of its payload is a DataError."""
+    size = os.fstat(fh.fileno()).st_size
+    fixed = fh.read(len(magic) + 8)
+    if fixed[: len(magic)] != magic:
+        raise DataError(f"{path}: not a {magic.decode('ascii')} checkpoint")
+    if len(fixed) < len(magic) + 8:
+        raise DataError(f"{path}: file ends inside its header")
+    version, hlen = struct.unpack_from("<II", fixed, len(magic))
+    if version != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported format version {version}")
+    start = _payload_start(magic, hlen)
+    if start > size:
+        raise DataError(f"{path}: file ends inside its header")
+    return fh.read(hlen), start, size
 
 
 def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and every tensor of a container, as read-only views over
+    the file mapped read-only."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(magic) + 8 or data[: len(magic)] != magic:
-        raise DataError(f"{path}: not a {magic.decode('ascii')} checkpoint")
-    pos = len(magic)
-    (version,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format version {version}")
-    (hlen,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    try:
-        header = json.loads(data[pos : pos + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedJson(f"{path}: bad checkpoint header: {exc}") from exc
-    pos += hlen
-    payload = memoryview(data)[pos:]  # a view: each tensor below is the one copy
-    if not isinstance(header, dict) or not isinstance(header.get("tensors", {}), dict):
-        raise MalformedJson(f"{path}: checkpoint header has no tensor index")
-    spans = []
-    for name, entry in header.get("tensors", {}).items():
-        start, end, shape, dtype = _index_span(path, name, entry, len(payload),
-                                               quantized=magic == MAGIC_QUANT)
-        spans.append((start, end, name, shape, dtype))
-    spans.sort()
-    for (_, prev_end, prev, *_), (start, _, name, *_) in zip(spans, spans[1:]):
-        if start < prev_end:
-            raise DataError(f"{path}: tensor {name!r} overlaps tensor {prev!r}")
+        blob, start, size = _read_head(fh, path, magic)
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise MalformedJson(f"{path}: bad checkpoint header: {exc}") from exc
+        if not isinstance(header, dict) or not isinstance(header.get("tensors", {}), dict):
+            raise MalformedJson(f"{path}: checkpoint header has no tensor index")
+        spans = []
+        for name, entry in header.get("tensors", {}).items():
+            begin, end, shape, dtype = _index_span(path, name, entry, size - start,
+                                                   quantized=magic == MAGIC_QUANT)
+            spans.append((begin, end, name, shape, dtype))
+        spans.sort()
+        for (_, prev_end, prev, *_), (begin, _, name, *_) in zip(spans, spans[1:]):
+            if begin < prev_end:
+                raise DataError(f"{path}: tensor {name!r} overlaps tensor {prev!r}")
+        # the header check above leaves at least the fixed part, so the file
+        # is not empty, which mmap refuses
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     arrays = {
-        name: np.frombuffer(payload[start:end], dtype=dtype).reshape(shape).copy()
-        for start, end, name, shape, dtype in spans
+        name: np.frombuffer(mapped, dtype, math.prod(shape), start + begin).reshape(shape)
+        for begin, _, name, shape, dtype in spans
     }
     return header, arrays
 
@@ -153,6 +203,8 @@ def _index_span(path, name: str, entry, payload_len: int, quantized: bool):
     start = entry.get("offset")
     if not _is_int(start) or start < 0:
         raise bad(f"has bad offset {start!r}")
+    if start % dtype.itemsize:
+        raise bad(f"has offset {start}, not a multiple of its itemsize {dtype.itemsize}")
     if quantized:
         scale = entry.get("scale")
         if not _is_scale(scale):
@@ -234,10 +286,7 @@ def load_quantized(path) -> tuple[ModelConfig, dict, dict[str, float], dict]:
 
 
 def payload_bytes(path, magic: bytes) -> int:
-    """Size of the raw tensor payload, excluding magic/version/header."""
+    """Size of the raw tensor payload, excluding magic/version/header/padding."""
     with open(path, "rb") as fh:
-        head = fh.read(len(magic) + 8)
-    if head[: len(magic)] != magic:
-        raise DataError(f"{path}: not a {magic.decode('ascii')} checkpoint")
-    (hlen,) = struct.unpack_from("<I", head, len(magic) + 4)
-    return os.path.getsize(path) - (len(magic) + 8 + hlen)
+        _, start, size = _read_head(fh, path, magic)
+    return size - start

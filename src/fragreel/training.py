@@ -172,7 +172,9 @@ def train(
     """Finetune ``params`` in place and return the per-epoch history.
 
     ``params`` end at the last epoch, each tensor's ``requires_grad`` set
-    to whether ``cfg.freeze`` leaves it trainable. The best parameters are
+    to whether ``cfg.freeze`` leaves it trainable; a trainable tensor whose
+    array is read-only, as a loaded checkpoint's are, first gets a copy of
+    it. The best parameters are
     the checkpoint, written to ``checkpoint_path`` whenever the monitored
     accuracy strictly improves, so the saved accuracy sequence is strictly
     increasing. ``on_step(epoch, step, loss)`` observes per-batch losses.
@@ -183,7 +185,10 @@ def train(
     prompt_sets = _prompt_sets_for([*train_set, *val_set], catalogue)
     trainable = set(params.trainable_names(cfg.freeze))
     for name in params.names():
-        params[name].requires_grad = name in trainable
+        tensor = params[name]
+        tensor.requires_grad = name in trainable
+        if tensor.requires_grad and not tensor.data.flags.writeable:
+            tensor.data = tensor.data.copy()
     state = OptimizerState()
     best_metric = -math.inf
     history: list[dict] = []

@@ -8,6 +8,10 @@ encoder, prompting blocks and the similarity head.
 
 from __future__ import annotations
 
+import json
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -39,6 +43,25 @@ def toy_model_config(head_kind: str = "similarity") -> ModelConfig:
         text=TextConfig(d_text=8, n_heads=2, n_layers=1, d_ffn=16, prompt_heads=2),
         head=HeadConfig(kind=head_kind, logit_scale_init=100.0),
     )
+
+
+def rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to the JSON header of a checkpoint, keeping its payload.
+
+    The payload starts at the first multiple of 64 after the header. The
+    edited file replaces the old one, as the writers do: rewriting it in
+    place would change the tensors already loaded from it.
+    """
+    blob = path.read_bytes()
+    hlen = struct.unpack_from("<I", blob, 9)[0]
+    header = json.loads(blob[13 : 13 + hlen])
+    edit(header)
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    payload = blob[13 + hlen + -(13 + hlen) % 64:]
+    head = blob[:9] + struct.pack("<I", len(new_header)) + new_header
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(head + bytes(-len(head) % 64) + payload)
+    os.replace(tmp, path)
 
 
 def plain_f64(params: ModelParams) -> dict[str, np.ndarray]:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import json
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import toy_model_config
+from conftest import rewrite_header, toy_model_config
 from fragreel.checkpoint import (
     MAGIC_FP32,
     MAGIC_QUANT,
@@ -38,16 +38,6 @@ def params():
     return ModelParams.init(toy_model_config(), seed=7)
 
 
-def rewrite_header(path, edit) -> None:
-    """Apply ``edit`` to the JSON header of a checkpoint, keeping its payload."""
-    blob = path.read_bytes()
-    hlen = struct.unpack_from("<I", blob, 9)[0]
-    header = json.loads(blob[13 : 13 + hlen])
-    edit(header)
-    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(blob[:9] + struct.pack("<I", len(new_header)) + new_header + blob[13 + hlen:])
-
-
 def random_qtensors(params, seed: int = 2) -> dict:
     rng = np.random.default_rng(seed)
     return {
@@ -72,12 +62,13 @@ BAD_INDEX_EDITS = pytest.mark.parametrize("edit, tensor, what", [
     (lambda t: t["y"].update(offset=-32), "y", "has bad offset -32"),  # slices x from the end
     (lambda t: t["y"].update(offset=8.0), "y", "has bad offset 8.0"),
     (lambda t: t["y"].update(offset=True), "y", "has bad offset True"),
+    (lambda t: t["y"].update(offset=18), "y", "has offset 18, not a multiple of its itemsize 4"),
     (lambda t: t["y"].update(offset=8), "y", "overlaps tensor 'x'"),
     (lambda t: t["y"].update(shape=[-1, -4]), "y", r"has bad shape \[-1, -4\]"),
     (lambda t: t["y"].update(shape=[2.0, 2]), "y", r"has bad shape \[2.0, 2\]"),
     (lambda t: t.update(y=[0]), "y", "has no index entry"),
 ], ids=["no_offset", "no_dtype", "no_shape", "negative_offset", "float_offset",
-        "bool_offset", "overlap", "negative_dims", "float_dims", "entry_not_object"])
+        "bool_offset", "misaligned_offset", "overlap", "negative_dims", "float_dims", "entry_not_object"])
 
 
 class TestTensorIndex:
@@ -172,7 +163,9 @@ class TestContainer:
         path = tmp_path / "c.bin"
         write_container(path, MAGIC_FP32, {}, {"x": np.zeros(2, dtype=np.float32)})
         blob = bytearray(path.read_bytes())
-        for version in (99, 1):  # version 1 still held the prompting q/k tensors
+        # version 1 still held the prompting q/k tensors; version 2 did not
+        # align its payload, so its tensors cannot be mapped in place
+        for version in (99, 2, 1):
             blob[5:9] = struct.pack("<I", version)
             path.write_bytes(bytes(blob))
             with pytest.raises(DataError, match=f"version {version}$"):
@@ -186,6 +179,37 @@ class TestContainer:
         path.write_bytes(bytes(blob))
         with pytest.raises(MalformedJson):
             read_container(path, MAGIC_FP32)
+
+    def test_payload_and_tensors_are_aligned(self, tmp_path):
+        arrays = {"a": np.ones(3, dtype=np.int8), "b": np.ones(2, dtype=np.float64),
+                  "c": np.ones(1, dtype=np.int8), "d": np.ones(2, dtype=np.float32)}
+        path = tmp_path / "c.bin"
+        write_container(path, MAGIC_FP32, {}, arrays)
+        header, back = read_container(path, MAGIC_FP32)
+        offsets = {name: entry["offset"] for name, entry in header["tensors"].items()}
+        assert offsets == {"a": 0, "b": 8, "c": 24, "d": 28}  # itemsize gaps only
+        assert payload_bytes(path, MAGIC_FP32) == 36
+        assert (path.stat().st_size - 36) % 64 == 0  # the payload's start
+        for name, arr in back.items():
+            assert arr.flags.aligned
+            np.testing.assert_array_equal(arr, arrays[name])
+
+    @pytest.mark.parametrize("blob", [b"", b"XCK"], ids=["empty", "cut_in_magic"])
+    def test_file_without_the_magic_rejected_naming_it(self, tmp_path, blob):
+        path = tmp_path / "c.bin"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match="c.bin: not a XCKP1 checkpoint"):
+            read_container(path, MAGIC_FP32)
+
+    def test_file_cut_inside_its_header_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "c.bin"
+        write_container(path, MAGIC_FP32, {"note": "x" * 100}, {"x": np.zeros(2, dtype=np.float32)})
+        blob = path.read_bytes()
+        header_end = len(blob) - 8  # the padded header, without the payload
+        for cut in (12, 13, 40, header_end - 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError, match="c.bin: file ends inside its header"):
+                read_container(path, MAGIC_FP32)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
@@ -327,22 +351,79 @@ class TestOlderHeaderKeys:
             assert older[name][1] == plain[name][1]
 
 
-def test_load_peak_memory_is_about_two_files(tmp_path):
-    """The file's bytes plus one copy per tensor: no copy of the whole payload."""
+class TestMappedLoad:
+    """Loads are read-only views over the mapped file; saves replace the file."""
+
+    def test_loaded_parameters_are_read_only(self, tmp_path, params):
+        path = tmp_path / "m.xckp"
+        save_checkpoint(path, params, epoch=0, val_accuracy=None)
+        loaded, _ = load_checkpoint(path)
+        for name in loaded.names():
+            assert not loaded[name].data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            loaded[loaded.names()[0]].data[...] = 0.0
+        _, qtensors, _, _ = load_quantized(self.quantized(tmp_path, params))
+        assert not any(q.flags.writeable for q, _ in qtensors.values())
+
+    def quantized(self, tmp_path, params, seed=2):
+        path = tmp_path / "m.xckq"
+        save_quantized(path, params.config, random_qtensors(params, seed), {"site:in": 0.5}, 0, None)
+        return path
+
+    def test_saving_over_a_loaded_file_leaves_its_tensors_alone(self, tmp_path, params):
+        path = tmp_path / "m.xckp"
+        save_checkpoint(path, params, epoch=0, val_accuracy=None)
+        loaded, _ = load_checkpoint(path)
+        other = ModelParams.init(params.config, seed=8)
+        save_checkpoint(path, other, epoch=1, val_accuracy=None)
+        for name in params.names():
+            assert loaded[name].data.tobytes() == params[name].data.tobytes()
+        assert load_checkpoint(path)[1]["epoch"] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.xckp"]
+
+    def test_saving_over_a_loaded_quantized_file_leaves_its_tensors_alone(self, tmp_path, params):
+        path = self.quantized(tmp_path, params)
+        _, stored, _, _ = load_quantized(path)
+        self.quantized(tmp_path, params, seed=3)
+        for name, (q, scale) in random_qtensors(params).items():
+            assert stored[name][0].tobytes() == q.tobytes()
+            assert stored[name][1] == scale
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.xckq"]
+
+    def test_failed_save_keeps_the_old_file_and_no_temporary(self, tmp_path, params, monkeypatch):
+        path = tmp_path / "m.xckp"
+        save_checkpoint(path, params, epoch=0, val_accuracy=None)
+        before = path.read_bytes()
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, params, epoch=1, val_accuracy=None)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.xckp"]
+
+
+def test_load_peak_memory_is_under_the_file(tmp_path):
+    """Tensors are views over the mapped file: loading copies none of them.
+
+    The model is perfbench's ``small`` config.
+    """
     config = ModelConfig(
-        encoder=EncoderConfig(t_frames=2, side=8, patch=4, d_model=128, n_heads=2,
-                              n_cct_layers=2, n_mit_layers=1, d_ffn=512),
-        text=TextConfig(d_text=128, n_heads=2, n_layers=2, d_ffn=512, prompt_heads=2),
+        encoder=EncoderConfig(t_frames=8, side=224, d_model=256, n_heads=4,
+                              n_cct_layers=4, d_ffn=1024),
+        text=TextConfig(d_text=256, n_heads=4, n_layers=4, d_ffn=1024, prompt_heads=4),
         head=HeadConfig(),
     )
     path = tmp_path / "m.xckp"
     save_checkpoint(path, ModelParams.init(config, seed=0), epoch=0, val_accuracy=None)
     size = path.stat().st_size
-    assert size > 4_000_000  # large enough that fixed overheads do not matter
     tracemalloc.start()
     try:
-        load_checkpoint(path)
+        loaded, _ = load_checkpoint(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * size
+    assert sum(loaded[name].data.nbytes for name in loaded.names()) > 0.99 * size
+    assert peak < 1.1 * size

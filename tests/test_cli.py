@@ -2,15 +2,20 @@
 
 import json
 import logging
+import os
 import re
 import shlex
+import struct
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import rewrite_header
 
+import fragreel
 from fragreel.annotations import events_from_json, manifest_from_json, parse_via
 from fragreel.catalogue import EventLabel, GameId
 from fragreel.checkpoint import load_checkpoint
@@ -235,6 +240,35 @@ class TestReruns:
         assert run_cli(base + ["--out", out_a]) == 0
         assert run_cli(base + ["--seed", 99, "--out", out_b]) == 0
         assert out_a.read_bytes() != out_b.read_bytes()
+
+
+class TestModelFreeCommands:
+    def test_import_and_model_free_commands_leave_scipy_unloaded(self, env, tmp_path):
+        """scipy (for GELU's erf) loads only when a model first runs."""
+        art = env["artifacts"]
+        commands = [
+            ["sample-background", "--config", env["config"], "--game", GAME,
+             "--out", tmp_path / "bg.json"],
+            ["build-manifest", "--config", env["config"], "--annotations", env["events"],
+             "--backgrounds", tmp_path / "bg.json", "--out", tmp_path / "m.json"],
+            ["highlight", "--config", env["config"], "--predictions", art["predictions"],
+             "--game", GAME, "--video", "alpha.rgbc", "--targets", "Kill,Death",
+             "--session-len", 8, "--out", tmp_path / "h.json"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from fragreel.cli import main\n"
+            "assert 'scipy' not in sys.modules, 'import fragreel.cli'\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv[0]\n"
+            "    assert 'scipy' not in sys.modules, argv[0]\n"
+        )
+        src = str(Path(fragreel.__file__).parents[1])
+        subprocess.run(
+            [sys.executable, "-c", script, json.dumps([[str(a) for a in c] for c in commands])],
+            env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120,
+        )
+        assert (tmp_path / "h.json").read_bytes() == art["highlights"].read_bytes()
 
 
 class TestFlags:
@@ -507,6 +541,36 @@ class TestExitCodes:
         ])
         assert rc == 3
         assert f"{ckpt}: unrecognized checkpoint magic" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "quantize"])
+    @pytest.mark.parametrize("damage, message", [
+        ("empty", "(unrecognized checkpoint magic|not a XCKP1 checkpoint)"),
+        ("cut_in_header", "file ends inside its header"),
+        ("misaligned_offset", "tensor 'video.pos' has offset .*, not a multiple of its itemsize 4"),
+        ("version_2", "unsupported format version 2"),
+    ], ids=["empty", "cut_in_header", "misaligned_offset", "version_2"])
+    def test_malformed_checkpoint_is_data_error_naming_the_file(self, env, tmp_path, capsys,
+                                                                 command, damage, message):
+        ckpt = tmp_path / "model.xckp"
+        blob = env["artifacts"]["checkpoint"].read_bytes()
+        if damage == "empty":
+            ckpt.write_bytes(b"")
+        elif damage == "cut_in_header":
+            ckpt.write_bytes(blob[:40])
+        elif damage == "version_2":
+            ckpt.write_bytes(blob[:5] + struct.pack("<I", 2) + blob[9:])
+        else:
+            ckpt.write_bytes(blob)
+            rewrite_header(ckpt, lambda h: h["tensors"]["video.pos"].update(
+                offset=h["tensors"]["video.pos"]["offset"] + 2))
+        common = ["--config", env["config"], "--checkpoint", ckpt, "--out", tmp_path / "x"]
+        if command == "detect":
+            rc = run_cli(["detect", *common, "--game", GAME, "--video", "bravo.rgbc"])
+        else:
+            rc = run_cli(["quantize", *common, "--manifest", env["artifacts"]["manifest"]])
+        assert rc == 3
+        assert re.search(f"{re.escape(str(ckpt))}: {message}", capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
     def test_zero_second_session_is_data_error(self, env, tmp_path):

@@ -12,7 +12,7 @@ from conftest import OVERFIT_TRAIN, overfit_clips, toy_model_config
 from fragreel import seeds, training
 from fragreel.autodiff import no_grad
 from fragreel.catalogue import EventLabel, GameId
-from fragreel.checkpoint import load_checkpoint
+from fragreel.checkpoint import load_checkpoint, save_checkpoint
 from fragreel.errors import ConfigError, NonFiniteGradient
 from fragreel.frames import ClipStore, PreprocessConfig, RawClip, write_rgbc
 from fragreel.annotations import ClipRef
@@ -353,6 +353,25 @@ class TestRunDeterminism:
             history = train(examples, [], params, self.short_cfg(seed))
             histories.append(history)
         assert histories[0] != histories[1]
+
+
+class TestTrainFromLoadedCheckpoint:
+    """A loaded checkpoint's read-only tensors train like in-memory ones."""
+
+    def test_trains_copies_and_leaves_the_file_alone(self, tmp_path):
+        path = tmp_path / "init.xckp"
+        save_checkpoint(path, ModelParams.init(toy_model_config(), seed=7), 0, None)
+        before = path.read_bytes()
+        cfg = TrainConfig(epochs=2, batch_size=4, lr_max=5e-3, lr_min=5e-4, seed=11)
+        loaded, _ = load_checkpoint(path)
+        fresh = ModelParams.init(toy_model_config(), seed=7)
+        assert train(overfit_clips(), [], loaded, cfg) == train(overfit_clips(), [], fresh, cfg)
+        assert path.read_bytes() == before
+        trainable = set(loaded.trainable_names(cfg.freeze))
+        for name in loaded.names():
+            assert loaded[name].data.tobytes() == fresh[name].data.tobytes()
+            # frozen tensors stay the mapped views; trained ones became copies
+            assert loaded[name].data.flags.writeable == (name in trainable)
 
 
 class TestValidationMetric:
