@@ -26,11 +26,12 @@ scales get the same scale check, naming the site.
 per-tensor symmetric scale in the index entry, plus calibrated activation
 scales under a dedicated header key. The int8 arithmetic is ``quantize``'s.
 
-Format version 3 aligned the payload for mapping. Version 2 had dropped
-the query and key tensors of the prompting blocks, which could not affect
-any output. Files of either older version are rejected. Loaders ignore
-header and index keys they do not read, such as an old text version stamp
-or per-tensor zero points.
+Format version 4 dropped the head config's ``kind`` and ``width``, with the
+linear head they chose. Version 3 aligned the payload for mapping. Version
+2 had dropped the query and key tensors of the prompting blocks, which
+could not affect any output. Files of any older version are rejected.
+Loaders ignore header and index keys they do not read, such as an old text
+version stamp or per-tensor zero points.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .params import ModelConfig, ModelParams, param_specs
 
 MAGIC_FP32 = b"XCKP1"
 MAGIC_QUANT = b"XCKQ1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # The payload starts on a 64-byte boundary, so each mapped tensor is aligned
 # for its dtype. Tensors themselves are aligned only to their itemsize: a
 # 64-byte gap after each of the many small tensors would take an int8 file
@@ -80,41 +81,51 @@ def _payload_start(magic: bytes, header_len: int) -> int:
 
 def write_container(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray],
                     tensor_extras: dict[str, dict] | None = None) -> None:
-    """Serialize arrays under the shared container layout."""
+    """Serialize arrays under the shared container layout.
+
+    The index comes from shapes and dtypes alone, so each tensor is converted
+    just before it is written: a save holds at most one converted tensor,
+    never a second copy of the model.
+    """
     index: dict[str, dict] = {}
     offset = 0
     ordered = sorted(arrays)
-    payload_parts = []
     for name in ordered:
-        # np.ascontiguousarray would do, except it promotes 0-d arrays to
-        # 1-d and would corrupt scalar shapes; tobytes() is C-order anyway.
         arr = np.asarray(arrays[name])
         code = _DTYPE_TO_CODE.get(arr.dtype)
         if code is None:
             raise DataError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-        le = arr.astype(_CODE_TO_DTYPE[code], copy=False)
-        gap = -offset % le.itemsize
-        payload_parts.append(bytes(gap))
-        offset += gap
-        raw = le.tobytes()
+        offset += -offset % arr.itemsize
         entry = {"dtype": code, "shape": list(arr.shape), "offset": offset}
         if tensor_extras and name in tensor_extras:
             entry.update(tensor_extras[name])
         index[name] = entry
-        payload_parts.append(raw)
-        offset += len(raw)
+        offset += arr.nbytes
     full_header = dict(header)
     full_header["tensors"] = index
     blob = _header_bytes(full_header)
     head = magic + struct.pack("<II", FORMAT_VERSION, len(blob)) + blob
     head += bytes(_payload_start(magic, len(blob)) - len(head))
-    _replace_file(path, [head, *payload_parts])
+
+    def chunks():
+        yield head
+        end = 0
+        for name in ordered:
+            entry = index[name]
+            yield bytes(entry["offset"] - end)
+            # C-order little-endian; a tensor that is already both is not copied
+            data = np.ascontiguousarray(arrays[name], dtype=_CODE_TO_DTYPE[entry["dtype"]])
+            yield data
+            end = entry["offset"] + data.nbytes
+
+    _replace_file(path, chunks())
 
 
 def _replace_file(path, chunks) -> None:
-    """Write ``chunks`` to a temporary file beside ``path``, then rename it
-    over ``path``. Truncating ``path`` in place would pull the pages from
-    under any process that has it mapped (SIGBUS on the next read)."""
+    """Write ``chunks`` (bytes-like objects, consumed once) to a temporary
+    file beside ``path``, then rename it over ``path``. Truncating ``path``
+    in place would pull the pages from under any process that has it mapped
+    (SIGBUS on the next read)."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:

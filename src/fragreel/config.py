@@ -110,8 +110,6 @@ def _wanted(hint) -> str | None:
     it is a dataclass section (checked on its own)."""
     if isinstance(hint, types.UnionType):
         return " or ".join(_wanted(h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        return f"a list of {len(typing.get_args(hint))} numbers"
     if hint is frozenset:
         return "a list of strings"
     return _SIMPLE_TYPES[hint][0] if hint in _SIMPLE_TYPES else None
@@ -122,10 +120,6 @@ def _fits(hint, value) -> bool:
     number: JSON ``true`` is not 1."""
     if isinstance(hint, types.UnionType):
         return any(_fits(h, value) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        args = typing.get_args(hint)
-        return isinstance(value, list) and len(value) == len(args) \
-            and all(_fits(h, v) for h, v in zip(args, value))
     if hint is frozenset:
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
     return isinstance(value, _SIMPLE_TYPES[hint][1]) and not isinstance(value, bool)
@@ -148,11 +142,8 @@ def _build_section(cls, payload, where: str, **defaults):
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
     _check_types(cls, payload, f"{where}.")
-    kwargs = dict(defaults)
-    for key, value in payload.items():
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
-        return cls(**kwargs)
+        return cls(**{**defaults, **payload})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -207,8 +198,6 @@ def describe(run: RunConfig) -> str:
             return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
         if isinstance(obj, frozenset):
             return sorted(obj)
-        if isinstance(obj, tuple):
-            return list(obj)
         return obj
 
     return json.dumps(plain(run), sort_keys=True)

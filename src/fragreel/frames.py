@@ -22,7 +22,7 @@ import struct
 import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -71,8 +71,6 @@ class RawClip:
 class PreprocessConfig:
     t_frames: int = 32
     side: int = 224
-    mean: tuple[float, float, float] = DEFAULT_MEAN
-    std: tuple[float, float, float] = DEFAULT_STD
 
     def __post_init__(self):
         if self.t_frames < 1:
@@ -197,34 +195,26 @@ def resize_bilinear(frame: np.ndarray, side: int) -> np.ndarray:
     return top.astype(np.uint8).reshape(side, side, 3)
 
 
-@lru_cache(maxsize=8)
-def _channel_tables(mean: tuple, std: tuple) -> np.ndarray:
-    """(3, 256) float32, read-only: row c maps v to (v - mean[c]) / std[c],
-    computed in float64. Cached because ``preprocess_clip`` normalizes
-    frame by frame, and on small frames building it cost more than the
-    lookups."""
-    values = np.arange(256, dtype=np.float64)[:, None]
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
-    tables = ((values - mean) / std).astype(np.float32).T
-    tables.flags.writeable = False
-    return tables
+# (3, 256) float32, read-only: row c maps v to (v - DEFAULT_MEAN[c]) /
+# DEFAULT_STD[c], computed in float64
+_CHANNEL_TABLES = ((np.arange(256, dtype=np.float64)[:, None] - np.asarray(DEFAULT_MEAN))
+                   / np.asarray(DEFAULT_STD)).astype(np.float32).T
+_CHANNEL_TABLES.flags.writeable = False
 
 
-def normalize(clip: np.ndarray, cfg: PreprocessConfig, out: np.ndarray | None = None) -> np.ndarray:
+def normalize(clip: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-channel (x - mean) / std of uint8 pixels on the 0-255 scale, as float32.
 
-    Each value is looked up in a 256-entry table per channel, built with the
-    formula in float64, so the bytes are those of the formula applied to the
-    whole clip. The result goes into ``out`` when it is given.
+    Each value is looked up in a 256-entry table per channel, built once
+    with the formula in float64, so the bytes are those of the formula
+    applied to the whole clip. The result goes into ``out`` when it is given.
     """
     if clip.dtype != np.uint8:
         raise ValueError(f"normalize takes uint8 pixels, got {clip.dtype}")
-    tables = _channel_tables(tuple(cfg.mean), tuple(cfg.std))
     if out is None:
         out = np.empty(clip.shape, dtype=np.float32)
     for channel in range(3):
-        np.take(tables[channel], clip[..., channel], out=out[..., channel])
+        np.take(_CHANNEL_TABLES[channel], clip[..., channel], out=out[..., channel])
     return out
 
 
@@ -241,7 +231,7 @@ def preprocess_clip(raw: RawClip, cfg: PreprocessConfig) -> np.ndarray:
         if index in filled:
             out[slot] = out[filled[index]]
         else:
-            normalize(resize_bilinear(raw.frames[index], cfg.side), cfg, out=out[slot])
+            normalize(resize_bilinear(raw.frames[index], cfg.side), out=out[slot])
             filled[index] = slot
     return out
 

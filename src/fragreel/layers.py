@@ -125,3 +125,17 @@ def ffn(x: Tensor, params, prefix: str, qctx=None) -> Tensor:
     """Two linears around an exact GELU."""
     hidden = gelu(linear(x, params, f"{prefix}.in", qctx))
     return linear(hidden, params, f"{prefix}.out", qctx)
+
+
+def block(x: Tensor, params, prefix: str, n_heads: int, qctx=None, rows=None) -> Tensor:
+    """One pre-norm transformer block: x + mhsa(ln_attn(x)), then x + ffn(ln_ffn(x)).
+
+    With ``rows`` (an index into x) only those rows are computed: they query
+    the keys and values of every row, so they are exact.
+    """
+    normed = layer_norm(x, params, f"{prefix}.ln_attn")
+    query = normed
+    if rows is not None:
+        x, query = x[rows], normed[rows]
+    x = x + mhsa(query, normed, params, f"{prefix}.attn", n_heads, qctx)
+    return x + ffn(layer_norm(x, params, f"{prefix}.ln_ffn"), params, f"{prefix}.ffn", qctx)

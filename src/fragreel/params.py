@@ -3,8 +3,8 @@
 Every learnable tensor has a dotted name whose first segment selects its
 parameter group: ``video`` (the video encoder), ``text`` (the text encoder),
 ``prompt`` (the video-conditioned prompting blocks) and ``head`` (the
-similarity temperature and the optional linear head). Freezing and
-checkpointing address tensors by these names.
+similarity temperature). Freezing and checkpointing address tensors by
+these names.
 """
 
 from __future__ import annotations
@@ -93,13 +93,7 @@ class TextConfig:
 
 @dataclass(frozen=True)
 class HeadConfig:
-    kind: str = "similarity"  # "similarity" | "linear"
-    width: int = 8
     logit_scale_init: float = 100.0
-
-    def __post_init__(self):
-        if self.kind not in ("similarity", "linear"):
-            raise ConfigError(f"unknown head kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -192,9 +186,6 @@ def param_specs(cfg: ModelConfig) -> list[ParamSpec]:
         specs.extend(_ffn_specs(f"{pf}.ffn", d, 4 * d))
 
     specs.append(ParamSpec("head.logit_scale", (), f"const:{head.logit_scale_init}"))
-    if head.kind == "linear":
-        specs.append(ParamSpec("head.linear.w", (d, head.width), "gauss"))
-        specs.append(ParamSpec("head.linear.b", (head.width,), "zeros"))
     return specs
 
 

@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     TooLong,
 )
-from .layers import ffn, layer_norm, linear, mhsa, prunes_rows, qpass
+from .layers import block, ffn, linear, prunes_rows, qpass
 from .params import CONTEXT_LENGTH, VOCAB_SIZE, ModelParams
 
 BOS = 256
@@ -41,9 +41,6 @@ EOS = 257
 PAD = 258
 
 COSINE_EPS = 1e-30
-
-# Column assignment for the optional linear head, stable across games.
-GLOBAL_LABEL_INDEX = {label: i for i, label in enumerate(EventLabel)}
 
 
 def tokenize(text: str) -> list[int]:
@@ -161,13 +158,8 @@ def encode_text(tokens, params: ModelParams, qctx=None) -> Tensor:
     x = params["text.tok_embed"][batch] + params["text.pos"]  # (K, 77, d_text)
     pruned = cfg.n_layers - 1 if prunes_rows(qctx) else -1  # -1: no layer is pruned
     for i in range(cfg.n_layers):
-        pf = f"text.layers.{i}"
-        normed = layer_norm(x, params, f"{pf}.ln_attn")
-        query = normed
-        if i == pruned:
-            x, query = x[eos_rows], normed[eos_rows]
-        x = x + mhsa(query, normed, params, f"{pf}.attn", cfg.n_heads, qctx)
-        x = x + ffn(layer_norm(x, params, f"{pf}.ln_ffn"), params, f"{pf}.ffn", qctx)
+        x = block(x, params, f"text.layers.{i}", cfg.n_heads, qctx,
+                  rows=eos_rows if i == pruned else None)
     if pruned < 0:
         x = x[eos_rows]
     c = matmul(reshape(x, (k, cfg.d_text)), params["text.proj"])
@@ -273,16 +265,6 @@ def classification_logits(
     """Per-class logits (K,) in prompt order for one video embedding."""
     if not prompt_set.prompts:
         raise EmptyPromptSet(f"no prompts for game {prompt_set.game.value}")
-    head = params.config.head
-    if head.kind == "linear":
-        d = params.config.encoder.d_model
-        row = matmul(reshape(v, (1, d)), params["head.linear.w"]) + params["head.linear.b"]
-        full = reshape(row, (head.width,))
-        cols = [GLOBAL_LABEL_INDEX[label] for label in prompt_set.labels]
-        if max(cols) >= head.width:
-            raise ConfigError(f"linear head width {head.width} too small for label set")
-        return full[np.asarray(cols)]
-
     if text_grad:
         c = encode_text(prompt_ids(prompt_set), params, qctx)
     else:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .autodiff import Tensor, assert_finite, concat, matmul, mean, reshape
 from .errors import ShapeMismatch
-from .layers import ffn, layer_norm, linear, mhsa, prunes_rows, qpass
+from .layers import block, ffn, layer_norm, linear, mhsa, prunes_rows, qpass
 from .params import EncoderConfig, ModelParams
 
 
@@ -96,10 +96,7 @@ def mit_pool(h: Tensor, params: ModelParams, cfg: EncoderConfig, qctx=None) -> T
         raise ShapeMismatch(f"temporal input {h.shape} != ({cfg.t_frames}, {cfg.d_model})")
     x = h + params["video.mit.temp"]
     for i in range(cfg.n_mit_layers):
-        pf = f"video.mit.{i}"
-        normed = layer_norm(x, params, f"{pf}.ln_attn")
-        x = x + mhsa(normed, normed, params, f"{pf}.attn", cfg.n_heads, qctx)
-        x = x + ffn(layer_norm(x, params, f"{pf}.ln_ffn"), params, f"{pf}.ffn", qctx)
+        x = block(x, params, f"video.mit.{i}", cfg.n_heads, qctx)
     return mean(x, axis=0)
 
 

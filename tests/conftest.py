@@ -34,14 +34,14 @@ OVERFIT_LABELS = (
 )
 
 
-def toy_model_config(head_kind: str = "similarity") -> ModelConfig:
+def toy_model_config() -> ModelConfig:
     return ModelConfig(
         encoder=EncoderConfig(
             t_frames=2, side=4, patch=2, d_model=8, n_heads=2,
             n_cct_layers=1, n_mit_layers=1, d_ffn=16,
         ),
         text=TextConfig(d_text=8, n_heads=2, n_layers=1, d_ffn=16, prompt_heads=2),
-        head=HeadConfig(kind=head_kind, logit_scale_init=100.0),
+        head=HeadConfig(logit_scale_init=100.0),
     )
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import rewrite_header, toy_model_config
+from fragreel import checkpoint
 from fragreel.checkpoint import (
     MAGIC_FP32,
     MAGIC_QUANT,
@@ -164,8 +165,9 @@ class TestContainer:
         write_container(path, MAGIC_FP32, {}, {"x": np.zeros(2, dtype=np.float32)})
         blob = bytearray(path.read_bytes())
         # version 1 still held the prompting q/k tensors; version 2 did not
-        # align its payload, so its tensors cannot be mapped in place
-        for version in (99, 2, 1):
+        # align its payload, so its tensors cannot be mapped in place; a
+        # version 3 header still carries the head's kind and width
+        for version in (99, 3, 2, 1):
             blob[5:9] = struct.pack("<I", version)
             path.write_bytes(bytes(blob))
             with pytest.raises(DataError, match=f"version {version}$"):
@@ -405,19 +407,18 @@ class TestMappedLoad:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.xckp"]
 
 
-def test_load_peak_memory_is_under_the_file(tmp_path):
-    """Tensors are views over the mapped file: loading copies none of them.
+SMALL_CONFIG = ModelConfig(  # perfbench's ``small`` config
+    encoder=EncoderConfig(t_frames=8, side=224, d_model=256, n_heads=4,
+                          n_cct_layers=4, d_ffn=1024),
+    text=TextConfig(d_text=256, n_heads=4, n_layers=4, d_ffn=1024, prompt_heads=4),
+    head=HeadConfig(),
+)
 
-    The model is perfbench's ``small`` config.
-    """
-    config = ModelConfig(
-        encoder=EncoderConfig(t_frames=8, side=224, d_model=256, n_heads=4,
-                              n_cct_layers=4, d_ffn=1024),
-        text=TextConfig(d_text=256, n_heads=4, n_layers=4, d_ffn=1024, prompt_heads=4),
-        head=HeadConfig(),
-    )
+
+def test_load_peak_memory_is_under_the_file(tmp_path):
+    """Tensors are views over the mapped file: loading copies none of them."""
     path = tmp_path / "m.xckp"
-    save_checkpoint(path, ModelParams.init(config, seed=0), epoch=0, val_accuracy=None)
+    save_checkpoint(path, ModelParams.init(SMALL_CONFIG, seed=0), epoch=0, val_accuracy=None)
     size = path.stat().st_size
     tracemalloc.start()
     try:
@@ -427,3 +428,34 @@ def test_load_peak_memory_is_under_the_file(tmp_path):
         tracemalloc.stop()
     assert sum(loaded[name].data.nbytes for name in loaded.names()) > 0.99 * size
     assert peak < 1.1 * size
+
+
+def test_save_peak_memory_is_one_tensor_and_the_header(tmp_path):
+    """A save converts and writes one tensor at a time: it never holds a
+    second copy of the model. The slack of 256 KiB covers the header's
+    Python objects (index dicts, JSON text) and the file buffer."""
+    params = ModelParams.init(SMALL_CONFIG, seed=0)
+    largest = max(t.data.nbytes for t in params.tensors.values())
+    path = tmp_path / "m.xckp"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, params, epoch=0, val_accuracy=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    header = size - payload_bytes(path, MAGIC_FP32)
+    assert size > 30 * largest  # a whole-model copy would not fit under the bound
+    assert peak <= largest + header + 256 * 1024
+
+
+def test_failed_write_removes_the_temporary(tmp_path):
+    """An error in the middle of the payload leaves neither the target nor
+    the temporary file."""
+    def chunks():
+        yield b"head"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        checkpoint._replace_file(tmp_path / "m.xckp", chunks())
+    assert list(tmp_path.iterdir()) == []

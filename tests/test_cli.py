@@ -549,7 +549,8 @@ class TestExitCodes:
         ("cut_in_header", "file ends inside its header"),
         ("misaligned_offset", "tensor 'video.pos' has offset .*, not a multiple of its itemsize 4"),
         ("version_2", "unsupported format version 2"),
-    ], ids=["empty", "cut_in_header", "misaligned_offset", "version_2"])
+        ("version_3", "unsupported format version 3"),
+    ], ids=["empty", "cut_in_header", "misaligned_offset", "version_2", "version_3"])
     def test_malformed_checkpoint_is_data_error_naming_the_file(self, env, tmp_path, capsys,
                                                                  command, damage, message):
         ckpt = tmp_path / "model.xckp"
@@ -558,8 +559,8 @@ class TestExitCodes:
             ckpt.write_bytes(b"")
         elif damage == "cut_in_header":
             ckpt.write_bytes(blob[:40])
-        elif damage == "version_2":
-            ckpt.write_bytes(blob[:5] + struct.pack("<I", 2) + blob[9:])
+        elif damage.startswith("version_"):
+            ckpt.write_bytes(blob[:5] + struct.pack("<I", int(damage[-1])) + blob[9:])
         else:
             ckpt.write_bytes(blob)
             rewrite_header(ckpt, lambda h: h["tensors"]["video.pos"].update(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fragreel.cli import main
 from fragreel.config import (
     QuantizerSettings,
     RunConfig,
@@ -145,24 +146,34 @@ class TestLoadRunConfig:
         ("encoder", "n_cct_layers", 1.5),
         ("head", "logit_scale_init", "x"),
         ("quantizer", "calib_count", 1.5),
-        ("preprocess", "mean", "abc"),
-        ("preprocess", "mean", [1, 2]),
         ("train", "freeze", "text_encoder"),
         ("sampler", "buffer_secs", True),
     ], ids=["fractional_epochs", "fractional_batch_size", "fractional_layer_count",
-            "string_logit_scale", "fractional_calib_count", "string_mean", "short_mean",
-            "string_freeze", "bool_buffer_secs"])
+            "string_logit_scale", "fractional_calib_count", "string_freeze", "bool_buffer_secs"])
     def test_mistyped_section_value_rejected(self, tmp_path, section, key, value):
         with pytest.raises(ConfigError, match=f"^config.{section}.{key} must be"):
             load_run_config(write_config(tmp_path, {section: {key: value}}))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("preprocess", "mean", [123.675, 116.28, 103.55]),
+        ("preprocess", "std", [58.395, 57.12, 57.375]),
+        ("head", "kind", "similarity"),
+        ("head", "width", 8),
+    ], ids=["mean", "std", "head_kind", "head_width"])
+    def test_removed_field_is_an_unknown_key(self, tmp_path, capsys, section, key, value):
+        """The pixel statistics are fixed and the cosine head is the only
+        head: their old fields are unknown keys, exit 2, even at the old
+        default values."""
+        path = write_config(tmp_path, {section: {key: value}})
+        assert main(["print-prompts", "--config", str(path)]) == 2
+        assert f"config.{section}: unknown keys ['{key}']" in capsys.readouterr().err
+
     def test_values_of_the_declared_types_accepted(self, tmp_path):
         payload = {"head": {"logit_scale_init": 50}, "sampler": {"target_count": None},
-                   "preprocess": {"mean": [0, 0.5, 1]}, "catalogue": None}
+                   "catalogue": None}
         run = load_run_config(write_config(tmp_path, payload))
         assert run.head.logit_scale_init == 50
         assert run.sampler.target_count is None
-        assert run.preprocess.mean == (0, 0.5, 1)
         assert run.catalogue is None
 
     def test_freeze_list_becomes_frozenset(self, tmp_path):
@@ -203,14 +214,6 @@ class TestLoadRunConfig:
         payload = {"encoder": TOY_SECTIONS["encoder"]}
         with pytest.raises(ConfigError):
             load_run_config(write_config(tmp_path, payload))
-
-    def test_list_valued_fields_become_tuples(self, tmp_path):
-        payload = {
-            "preprocess": {"mean": [0.1, 0.2, 0.3], "std": [1.0, 1.0, 1.0]},
-        }
-        run = load_run_config(write_config(tmp_path, payload))
-        assert run.preprocess.mean == (0.1, 0.2, 0.3)
-        assert run.preprocess.std == (1.0, 1.0, 1.0)
 
 
 class TestModelSizes:

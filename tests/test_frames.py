@@ -172,10 +172,10 @@ class TestResizeBilinear:
 
 class TestNormalize:
     def test_formula(self):
-        cfg = PreprocessConfig(t_frames=1, side=2, mean=(10.0, 20.0, 30.0), std=(2.0, 4.0, 5.0))
+        # (40 - mean) / std with the ImageNet statistics on the 0-255 scale
         clip = np.full((1, 2, 2, 3), 40, dtype=np.uint8)
-        out = normalize(clip, cfg)
-        np.testing.assert_allclose(out[0, 0, 0], [15.0, 5.0, 2.0], atol=1e-6)
+        out = normalize(clip)
+        np.testing.assert_allclose(out[0, 0, 0], [-1.4329138, -1.3354342, -1.1076252], atol=1e-6)
         assert out.dtype == np.float32
 
     def test_preprocess_shape(self):
@@ -217,25 +217,20 @@ class TestPreprocessExactness:
         np.testing.assert_array_equal(got, v + v % 2)
         np.testing.assert_array_equal(got, oracle.o_resize_bilinear(frame, 16))
 
-    @pytest.mark.parametrize("mean,std", [
-        (frames.DEFAULT_MEAN, frames.DEFAULT_STD),
-        ((0.5, 200.25, 7.0), (1.5, 0.3, 300.0)),
-    ], ids=["default", "custom"])
-    def test_normalize_matches_the_formula_for_every_value(self, mean, std):
-        cfg = PreprocessConfig(mean=mean, std=std)
+    def test_normalize_matches_the_formula_for_every_value(self):
         values = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1)  # (256, 3)
         clip = np.stack([values, values[::-1]]).reshape(2, 16, 16, 3)
-        got = normalize(clip, cfg)
-        want = oracle.o_normalize(clip, mean, std)
+        got = normalize(clip)
+        want = oracle.o_normalize(clip, frames.DEFAULT_MEAN, frames.DEFAULT_STD)
         assert got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
         slot = np.empty((16, 16, 3), dtype=np.float32)
-        assert normalize(clip[1], cfg, out=slot) is slot
+        assert normalize(clip[1], out=slot) is slot
         assert slot.tobytes() == want[1].tobytes()
 
     def test_normalize_rejects_non_uint8(self):
         with pytest.raises(ValueError, match="uint8"):
-            normalize(np.zeros((1, 2, 2, 3), dtype=np.int16), PreprocessConfig())
+            normalize(np.zeros((1, 2, 2, 3), dtype=np.int16))
 
     @pytest.mark.parametrize("count,fps", [(24, 24), (25, 25), (30, 30), (60, 60), (5, 30)],
                              ids=["24fps", "25fps", "30fps", "60fps", "fewer_than_t"])
@@ -250,7 +245,8 @@ class TestPreprocessExactness:
 
         monkeypatch.setattr(frames, "resize_bilinear", counted)
         got = preprocess_clip(raw, cfg)
-        want = oracle.o_preprocess_clip(raw.frames, cfg.t_frames, cfg.side, cfg.mean, cfg.std)
+        want = oracle.o_preprocess_clip(raw.frames, cfg.t_frames, cfg.side,
+                                        frames.DEFAULT_MEAN, frames.DEFAULT_STD)
         assert got.shape == (32, 16, 16, 3) and got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
         assert len(calls) == len(set(frame_indices(count, cfg.t_frames)))
@@ -271,7 +267,7 @@ class TestPreprocessExactness:
         finally:
             tracemalloc.stop()
         assert clip.shape == (32, 224, 224, 3)
-        zero = normalize(np.zeros((224, 224, 3), np.uint8), store.preprocess)
+        zero = normalize(np.zeros((224, 224, 3), np.uint8))
         np.testing.assert_array_equal(clip, np.broadcast_to(zero, clip.shape))
         assert peak < 2 * clip.nbytes
 

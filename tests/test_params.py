@@ -10,7 +10,6 @@ from fragreel.params import (
     CONTEXT_LENGTH,
     VOCAB_SIZE,
     EncoderConfig,
-    HeadConfig,
     ModelConfig,
     ModelParams,
     TextConfig,
@@ -30,10 +29,6 @@ class TestConfigValidation:
     def test_width_must_divide_by_heads(self):
         with pytest.raises(ConfigError):
             EncoderConfig(d_model=10, n_heads=3)
-
-    def test_head_kind_restricted(self):
-        with pytest.raises(ConfigError):
-            HeadConfig(kind="mlp")
 
     def test_config_dict_round_trip(self):
         cfg = toy_model_config()
@@ -78,12 +73,6 @@ class TestParamSpecs:
         assert param_count(cfg, "prompting_module") == prompt
         assert param_count(cfg, "head") == 1
         assert param_count(cfg) == video + text + prompt + 1
-
-    def test_linear_head_adds_tensors(self):
-        cfg = toy_model_config(head_kind="linear")
-        names = {s.name for s in param_specs(cfg)}
-        assert "head.linear.w" in names and "head.linear.b" in names
-        assert param_count(cfg, "head") == 1 + 8 * 8 + 8
 
     def test_full_scale_video_encoder_size(self):
         """The default video encoder lands near the published 131.5M figure."""

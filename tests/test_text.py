@@ -14,7 +14,6 @@ from fragreel.params import CONTEXT_LENGTH, ModelParams
 from fragreel.textmodel import (
     BOS,
     EOS,
-    GLOBAL_LABEL_INDEX,
     PAD,
     PromptCache,
     PromptSet,
@@ -242,16 +241,6 @@ class TestClassification:
         assert [label for label, _ in probs] == list(ps.labels)
         np.testing.assert_allclose(sum(p for _, p in probs), 1.0, atol=1e-6)
         assert all(0.0 <= p <= 1.0 for _, p in probs)
-
-    def test_linear_head_selects_global_columns(self):
-        cfg = toy_model_config(head_kind="linear")
-        params = ModelParams.init(cfg, seed=4, dtype=np.float64)
-        ps = prompt_set_for(GameId.OW2)
-        v = np.random.default_rng(5).normal(size=8)
-        got = classification_logits(Tensor(v), ps, params).data
-        full = v @ params["head.linear.w"].data + params["head.linear.b"].data
-        want = full[[GLOBAL_LABEL_INDEX[label] for label in ps.labels]]
-        np.testing.assert_allclose(got, want, atol=TOL)
 
     def test_empty_prompt_set_rejected(self, text_setup):
         _, params, _ = text_setup
