@@ -80,8 +80,9 @@ def _payload_start(magic: bytes, header_len: int) -> int:
 
 
 def write_container(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray],
-                    tensor_extras: dict[str, dict] | None = None) -> None:
-    """Serialize arrays under the shared container layout.
+                    tensor_extras: dict[str, dict] | None = None, dtype=None) -> None:
+    """Serialize arrays under the shared container layout, each as ``dtype``
+    (by default its own).
 
     The index comes from shapes and dtypes alone, so each tensor is converted
     just before it is written: a save holds at most one converted tensor,
@@ -92,15 +93,16 @@ def write_container(path, magic: bytes, header: dict, arrays: dict[str, np.ndarr
     ordered = sorted(arrays)
     for name in ordered:
         arr = np.asarray(arrays[name])
-        code = _DTYPE_TO_CODE.get(arr.dtype)
+        stored = arr.dtype if dtype is None else np.dtype(dtype)
+        code = _DTYPE_TO_CODE.get(stored)
         if code is None:
-            raise DataError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-        offset += -offset % arr.itemsize
+            raise DataError(f"tensor {name!r} has unsupported dtype {stored}")
+        offset += -offset % stored.itemsize
         entry = {"dtype": code, "shape": list(arr.shape), "offset": offset}
         if tensor_extras and name in tensor_extras:
             entry.update(tensor_extras[name])
         index[name] = entry
-        offset += arr.nbytes
+        offset += arr.size * stored.itemsize
     full_header = dict(header)
     full_header["tensors"] = index
     blob = _header_bytes(full_header)
@@ -250,8 +252,8 @@ def save_checkpoint(path, params: ModelParams, epoch: int, val_accuracy: float |
         "epoch": epoch,
         "val_accuracy": val_accuracy,
     }
-    arrays = {name: t.data.astype(np.float32, copy=False) for name, t in params.tensors.items()}
-    write_container(path, MAGIC_FP32, header, arrays)
+    arrays = {name: t.data for name, t in params.tensors.items()}
+    write_container(path, MAGIC_FP32, header, arrays, dtype=np.float32)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:

@@ -2,27 +2,36 @@
 
 Raw frames arrive either from ".rgbc" files (a trivial uncompressed RGB24
 container used by tests and fixtures) or from an external decoder subprocess
-that writes the same format to stdout. Preprocessing selects a fixed number
-of frames by uniform striding, resizes them bilinearly to a square, and
-normalizes each channel on the 0-255 scale. It reads only the source pixels
-that the resize uses, straight from the (possibly mapped) frames, and its
-output is byte-identical to the whole-frame float64 formula. ``Command``
-runs the external programs, the decoder and the highlight cutter, from
-checked templates.
+that writes the same format to stdout. Both go through one reader,
+``FrameReader``. After the 24-byte header, preprocessing plans the second's
+frames and pulls the selected ones from the reader one at a time into one
+reused (H, W, 3) buffer. An ".rgbc" file is opened once per video and
+shared by the worker threads, each selected frame read at its offset; a
+decoder's stdout is read in order, each frame that is not selected read
+into the same buffer and dropped. So a second holds one source frame at a
+time, whatever the length or the resolution of the video.
+Preprocessing selects a fixed number of frames by uniform striding, resizes
+each bilinearly to a square, reading only the source pixels the resize
+uses, and normalizes each channel on the 0-255 scale; the output is
+byte-identical to the whole-frame float64 formula. ``Command`` runs the
+external programs, the decoder and the highlight cutter, from checked
+templates.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import shlex
 import string
 import struct
 import subprocess
+import tempfile
+import threading
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -32,6 +41,7 @@ from .annotations import ClipRef
 from .catalogue import GameId
 from .errors import (
     ConfigError,
+    DataError,
     DataResolutionError,
     EmptyClip,
     MalformedJson,
@@ -66,6 +76,9 @@ class RawClip:
     def duration_s(self) -> float:
         return float(self.frame_count / self.fps)
 
+    def frame(self, index: int) -> np.ndarray:
+        return self.frames[index]
+
 
 @dataclass(frozen=True)
 class PreprocessConfig:
@@ -99,38 +112,116 @@ def _rgbc_header(head: bytes) -> tuple[tuple[int, int, int, int], Fraction]:
     return (count, height, width, 3), Fraction(fps_num, fps_den)
 
 
-def read_rgbc(blob: bytes) -> RawClip:
-    """A clip over the frames of ``blob`` (read-only, no copy)."""
-    shape, fps = _rgbc_header(blob)
-    expected = 24 + math.prod(shape)
-    if len(blob) != expected:
-        raise MalformedJson(f"RGBC header implies {expected} bytes, stream has {len(blob)}")
-    frames = np.frombuffer(blob, np.uint8, expected - 24, offset=24).reshape(shape)
-    return RawClip(frames=frames, fps=fps)
-
-
-def read_rgbc_file(path: str | Path) -> RawClip:
-    """A clip over a read-only map of the file; frames are paged in when read."""
+def rgbc_file_header(path: str | Path) -> tuple[tuple[int, int, int, int], Fraction]:
+    """Frame shape and frame rate of an ".rgbc" file whose size is what its
+    header declares; only the header is read."""
     with open(path, "rb") as fh:
         shape, fps = _rgbc_header(fh.read(24))
         size = os.fstat(fh.fileno()).st_size
-        expected = 24 + math.prod(shape)
-        if size != expected:
-            raise MalformedJson(f"{path}: RGBC header implies {expected} bytes, file has {size}")
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    frames = np.frombuffer(mapped, np.uint8, expected - 24, offset=24).reshape(shape)
-    return RawClip(frames=frames, fps=fps)
+    expected = 24 + math.prod(shape)
+    if size != expected:
+        raise MalformedJson(f"{path}: RGBC header implies {expected} bytes, file has {size}")
+    return shape, fps
 
 
-def extract_second(clip: RawClip, start_s: float) -> RawClip:
-    """The one-second window of ``clip`` starting at ``start_s``."""
-    if clip.frame_count == 0:
+def second_window(count: int, fps: float, start_s: float) -> tuple[int, int]:
+    """First frame and frame count of the one-second window at ``start_s`` of
+    a clip of ``count`` frames at ``fps``; a window past either end is moved
+    inside."""
+    if count == 0:
         raise EmptyClip("clip has no frames")
-    per_second = max(1, int(round(float(clip.fps))))
-    first = int(round(start_s * float(clip.fps)))
-    first = min(max(first, 0), max(clip.frame_count - per_second, 0))
-    window = clip.frames[first : first + per_second]
-    return RawClip(frames=window, fps=clip.fps)
+    per_second = max(1, int(round(fps)))
+    first = int(round(start_s * fps))
+    first = min(max(first, 0), max(count - per_second, 0))
+    return first, min(per_second, count - first)
+
+
+def _read_into(fh, view: memoryview) -> int:
+    """Fills ``view`` from ``fh`` until it is full or the stream ends; the bytes read."""
+    got = fh.readinto(view) or 0
+    while got < len(view):  # a pipe hands over what it holds
+        n = fh.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    return got
+
+
+def _drain(fh) -> int:
+    """Reads ``fh`` to its end; the bytes read."""
+    count = 0
+    while chunk := fh.read(1 << 16):
+        count += len(chunk)
+    return count
+
+
+class FrameReader:
+    """The frames of one RGBC stream, read one at a time into one reused buffer.
+
+    Frame i of the clip is frame ``first + i`` of a stream of frames of
+    ``shape``, for ``count`` frames (all from ``first`` by default). With a
+    ``lock``, ``fh`` is an ".rgbc" file that threads share, and each frame
+    is read at its offset under the lock. Without one, ``fh`` is a pipe, a
+    decoder's stdout read just past its header: frames come in order, and
+    each one skipped is read into the buffer and dropped, so i must not
+    decrease. ``frame(i)`` returns the buffer, which the next call overwrites.
+    """
+
+    def __init__(self, fh, shape: tuple[int, int, int, int], first: int = 0,
+                 count: int | None = None, lock: threading.Lock | None = None):
+        self.frame_count = shape[0] - first if count is None else count
+        self._fh = fh
+        self._first = first
+        self._lock = lock
+        self._stream_frames = shape[0]
+        self._buffer = np.empty(shape[1:], dtype=np.uint8)
+        self._view = memoryview(self._buffer).cast("B")
+        self._next = 0  # the stream's frame at the read position
+
+    def _size_error(self, size: int) -> MalformedJson:
+        expected = 24 + self._stream_frames * len(self._view)
+        return MalformedJson(f"RGBC header implies {expected} bytes, stream has {size}")
+
+    def _fill(self) -> None:
+        """Reads the stream's next frame into the buffer."""
+        got = _read_into(self._fh, self._view)
+        if got < len(self._view):
+            raise self._size_error(24 + self._next * len(self._view) + got)
+        self._next += 1
+
+    def frame(self, index: int) -> np.ndarray:
+        target = self._first + index
+        if self._lock is not None:
+            with self._lock:
+                self._fh.seek(24 + target * len(self._view))
+                self._next = target
+                self._fill()
+            return self._buffer
+        if target < self._next:
+            raise ValueError(f"frame {index} is behind the read position")
+        while self._next < target:
+            self._fill()
+        self._fill()
+        return self._buffer
+
+    def finish(self) -> None:
+        """Reads the rest of the stream, which must end with its last frame."""
+        while self._next < self._stream_frames:
+            self._fill()
+        trailing = _drain(self._fh)
+        if trailing:
+            raise self._size_error(24 + self._stream_frames * len(self._view) + trailing)
+
+
+def read_stream(fh, cfg: PreprocessConfig) -> np.ndarray:
+    """The preprocessed clip of a whole RGBC stream, read in order from ``fh``
+    to its end, which must be the end of its last frame."""
+    head = bytearray(24)
+    shape, _ = _rgbc_header(head[: _read_into(fh, memoryview(head))])
+    reader = FrameReader(fh, shape)
+    clip = preprocess_clip(reader, cfg)
+    reader.finish()
+    return clip
 
 
 def frame_indices(count: int, t: int) -> list[int]:
@@ -213,25 +304,25 @@ def normalize(clip: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise ValueError(f"normalize takes uint8 pixels, got {clip.dtype}")
     if out is None:
         out = np.empty(clip.shape, dtype=np.float32)
-    for channel in range(3):
-        np.take(_CHANNEL_TABLES[channel], clip[..., channel], out=out[..., channel])
+    for channel in range(3):  # the method, not np.take: its wrapper costs more than a small frame
+        _CHANNEL_TABLES[channel].take(clip[..., channel], out=out[..., channel])
     return out
 
 
-def preprocess_clip(raw: RawClip, cfg: PreprocessConfig) -> np.ndarray:
+def preprocess_clip(source: RawClip | FrameReader, cfg: PreprocessConfig) -> np.ndarray:
     """select -> resize -> normalize; (t_frames, side, side, 3) float32.
 
-    Each distinct frame index is resized once, straight from ``raw.frames``
-    (a mapped file is not copied), and normalized into its slot of the one
-    output array; a repeated index copies the slot already filled.
+    Each distinct frame index, in increasing order, is taken once from
+    ``source.frame``, resized and normalized into its slot of the one output
+    array; a repeated index copies the slot already filled.
     """
     out = np.empty((cfg.t_frames, cfg.side, cfg.side, 3), dtype=np.float32)
     filled: dict[int, int] = {}
-    for slot, index in enumerate(frame_indices(raw.frame_count, cfg.t_frames)):
+    for slot, index in enumerate(frame_indices(source.frame_count, cfg.t_frames)):
         if index in filled:
             out[slot] = out[filled[index]]
         else:
-            normalize(resize_bilinear(raw.frames[index], cfg.side), out=out[slot])
+            normalize(resize_bilinear(source.frame(index), cfg.side), out=out[slot])
             filled[index] = slot
     return out
 
@@ -258,14 +349,46 @@ class Command:
             wanted = " ".join(f"{{{name}}}" for name in placeholders)
             raise ConfigError(f"{key} template {template!r} must use exactly {wanted}")
 
+    def _exited(self, argv: list[str], code: int, stderr: bytes) -> DataResolutionError:
+        return DataResolutionError(f"{self.key} exited {code}: {shlex.join(argv)}: {stderr[:200]!r}")
+
     def run(self, **values: str) -> bytes:
         """Fill the placeholders, run the process and return its stdout."""
         argv = [part.format(**values) for part in self.argv]
         proc = subprocess.run(argv, capture_output=True)
         if proc.returncode != 0:
-            raise DataResolutionError(f"{self.key} exited {proc.returncode}: {shlex.join(argv)}: "
-                                      f"{proc.stderr[:200]!r}")
+            raise self._exited(argv, proc.returncode, proc.stderr)
         return proc.stdout
+
+    @contextmanager
+    def output(self, **values: str):
+        """Fill the placeholders, run the process and yield its stdout, an
+        unbuffered pipe that the body reads to its end.
+
+        The process is then reaped and a nonzero exit is a
+        DataResolutionError, also when the body failed with a DataError on
+        the stream, whose end it drains first. A DataError with a zero exit
+        is raised again naming the command. Any other error kills the process.
+        """
+        argv = [part.format(**values) for part in self.argv]
+        # stderr goes to a file: a full stderr pipe would stall the process
+        # while its stdout is read
+        with tempfile.TemporaryFile() as stderr, \
+                subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr, bufsize=0) as proc:
+            failure = None
+            try:
+                yield proc.stdout
+            except DataError as exc:
+                _drain(proc.stdout)
+                if proc.wait() == 0:
+                    raise type(exc)(f"{self.key} {shlex.join(argv)}: {exc}") from exc
+                failure = exc
+            except BaseException:
+                proc.kill()
+                raise
+            if proc.wait() != 0:
+                stderr.seek(0)
+                raise self._exited(argv, proc.returncode, stderr.read(200)) from failure
 
 
 def decoder(template) -> Command:
@@ -282,8 +405,8 @@ def cutter(template) -> Command:
 class ClipStore:
     """The one path from a video file to preprocessed clips.
 
-    Videos live under ``data_root/<game>/<video>``; ".rgbc" files are mapped
-    read-only and anything else needs the external decoder.
+    Videos live under ``data_root/<game>/<video>``; ".rgbc" files are read
+    directly and anything else needs the external decoder.
     """
 
     data_root: Path
@@ -310,29 +433,47 @@ class ClipStore:
         path = self.resolve(game, video)
         if path.suffix != ".rgbc":
             raise DataResolutionError(f"{path}: only an .rgbc file has a known duration")
-        return read_rgbc_file(path).duration_s
+        shape, fps = rgbc_file_header(path)
+        return float(shape[0] / fps)
 
     def clips(self, game: GameId, video: str) -> Callable[[float], np.ndarray]:
         """The preprocessed one-second clip at ``start_s`` of one video, as a function.
 
-        An ".rgbc" file is mapped once, here, and the map lives as long as
-        the returned function; any other file is decoded once per call.
+        An ".rgbc" file is opened once, here, and closed when the function
+        is dropped; each call reads only the second's selected frames. Any
+        other file is decoded once per call. Either way a call holds one
+        source frame.
         """
         path = self.resolve(game, video)
         if path.suffix == ".rgbc":
-            second = partial(extract_second, read_rgbc_file(path))
+            shape, fps = rgbc_file_header(path)
+            rate = float(fps)
+            # one handle for all calls, on any thread: a call then makes no
+            # system call to open the file, and small frames are mostly in
+            # its buffer already; a frame larger than the buffer is read
+            # straight into the reader's own
+            fh = open(path, "rb", buffering=1 << 16)
+            lock = threading.Lock()
+
+            def clip_at(start_s: float) -> np.ndarray:
+                first, count = second_window(shape[0], rate, start_s)
+                return preprocess_clip(FrameReader(fh, shape, first, count, lock), self.preprocess)
+
+            weakref.finalize(clip_at, fh.close)
         elif self.decoder is not None:
             # clips are fetched on the ``jobs`` workers of parallel.map_ordered,
             # which therefore also bound the decoder processes running at once
-            def second(start_s: float) -> RawClip:
-                return read_rgbc(self.decoder.run(input=str(path), start=repr(float(start_s)), dur="1.0"))
+            def clip_at(start_s: float) -> np.ndarray:
+                with self.decoder.output(input=str(path), start=repr(float(start_s)),
+                                         dur="1.0") as stdout:
+                    return read_stream(stdout, self.preprocess)
         else:
             raise DataResolutionError(f"{path} is not .rgbc and no decoder is configured")
-        return lambda start_s: preprocess_clip(second(start_s), self.preprocess)
+        return clip_at
 
     def clip(self, ref: ClipRef) -> np.ndarray:
         """The clip a manifest entry names; it must start before an ".rgbc" video ends."""
         path = self.resolve(ref.game, ref.video)
-        if path.suffix == ".rgbc" and ref.clip_start_s >= read_rgbc_file(path).duration_s:
+        if path.suffix == ".rgbc" and ref.clip_start_s >= self.duration(ref.game, ref.video):
             raise DataResolutionError(f"{path}: clip starts at {ref.clip_start_s}s, at or past the end")
         return self.clips(ref.game, ref.video)(ref.clip_start_s)

@@ -111,6 +111,7 @@ def encode_video(clip, params: ModelParams, qctx=None) -> Tensor:
     patches = extract_patches(data.astype(dtype, copy=False), cfg.patch)
 
     z = embed_frames(patches, params, cfg, qctx)
+    del patches  # z holds what the layers need; the patch copy is not kept through them
     pruned = cfg.n_cct_layers - 1 if prunes_rows(qctx) else -1  # -1: no layer is pruned
     for i in range(cfg.n_cct_layers):
         z = cct_layer(z, params, cfg, i, qctx, cls_only=i == pruned)

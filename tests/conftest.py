@@ -11,10 +11,14 @@ from __future__ import annotations
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fragreel
 from fragreel.catalogue import EventLabel, GameId
 from fragreel.checkpoint import load_checkpoint
 from fragreel.params import (
@@ -62,6 +66,38 @@ def rewrite_header(path, edit) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(head + bytes(-len(head) % 64) + payload)
     os.replace(tmp, path)
+
+
+# Runs ``fragreel.cli.main`` on argv[2:], then writes the process's own
+# peak RSS in kB, the VmHWM line of /proc/self/status, to argv[1].
+_OWN_PEAK_RSS = """
+import sys
+from fragreel.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+with open(sys.argv[1], "w") as out:
+    out.write(peak)
+sys.exit(code)
+"""
+
+
+def cli_peak_rss_mb(argv, tmp_path) -> float:
+    """Runs ``fragreel <argv>`` in a child process, which must succeed, and
+    returns the child's own peak RSS in MB (2**20 bytes).
+
+    The child reads it from its VmHWM. ``wait4``'s ``ru_maxrss`` would not
+    do: it also counts the pages the child shared with this process between
+    the fork and the exec, so a small child of a large test process reads
+    as large.
+    """
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    out = tmp_path / "vmhwm_kb"
+    src = str(Path(fragreel.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", _OWN_PEAK_RSS, str(out), *(str(a) for a in argv)],
+                   env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+    return int(out.read_text()) / 1024
 
 
 def plain_f64(params: ModelParams) -> dict[str, np.ndarray]:

@@ -430,12 +430,14 @@ def test_load_peak_memory_is_under_the_file(tmp_path):
     assert peak < 1.1 * size
 
 
-def test_save_peak_memory_is_one_tensor_and_the_header(tmp_path):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_save_peak_memory_is_one_tensor_and_the_header(tmp_path, dtype):
     """A save converts and writes one tensor at a time: it never holds a
-    second copy of the model. The slack of 256 KiB covers the header's
-    Python objects (index dicts, JSON text) and the file buffer."""
-    params = ModelParams.init(SMALL_CONFIG, seed=0)
-    largest = max(t.data.nbytes for t in params.tensors.values())
+    second copy of the model, float32 or converted from float64. The slack
+    of 256 KiB covers the header's Python objects (index dicts, JSON text)
+    and the file buffer."""
+    params = ModelParams.init(SMALL_CONFIG, seed=0, dtype=dtype)
+    largest = 4 * max(t.data.size for t in params.tensors.values())  # as float32
     path = tmp_path / "m.xckp"
     tracemalloc.start()
     try:
@@ -447,6 +449,13 @@ def test_save_peak_memory_is_one_tensor_and_the_header(tmp_path):
     header = size - payload_bytes(path, MAGIC_FP32)
     assert size > 30 * largest  # a whole-model copy would not fit under the bound
     assert peak <= largest + header + 256 * 1024
+    # the bytes of converting the whole model first
+    whole = tmp_path / "whole.xckp"
+    checkpoint.write_container(
+        whole, MAGIC_FP32, {"config": SMALL_CONFIG.to_dict(), "epoch": 0, "val_accuracy": None},
+        {name: t.data.astype(np.float32) for name, t in params.tensors.items()},
+    )
+    assert path.read_bytes() == whole.read_bytes()
 
 
 def test_failed_write_removes_the_temporary(tmp_path):

@@ -13,15 +13,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import rewrite_header
+from conftest import cli_peak_rss_mb, rewrite_header
 
 import fragreel
 from fragreel.annotations import events_from_json, manifest_from_json, parse_via
 from fragreel.catalogue import EventLabel, GameId
-from fragreel.checkpoint import load_checkpoint
+from fragreel.checkpoint import load_checkpoint, save_checkpoint
+from fragreel.config import load_run_config
 from fragreel import detection
 from fragreel.cli import main
 from fragreel.frames import ClipStore, RawClip, write_rgbc
+from fragreel.params import ModelParams
 
 GAME = GameId.CSGO.value
 
@@ -807,3 +809,35 @@ class TestExitCodes:
             "--game", GAME, "--out", tmp_path / "x.json",
         ])
         assert rc == 3
+
+
+class TestLongInput:
+    def test_detect_peak_rss_does_not_grow_with_the_session(self, tmp_path):
+        """A 16-second 1080p session peaks at the RSS of a 2-second one: a
+        second holds one source frame, and no page of the file stays."""
+        height, width, fps = 1080, 1920, 30
+        frame_mb = height * width * 3 / 2**20
+        game_dir = tmp_path / "data" / GAME
+        game_dir.mkdir(parents=True)
+        with open(game_dir / "long.rgbc", "wb") as fh:  # all holes on disk
+            fh.write(b"RGBC" + struct.pack("<5I", width, height, 16 * fps, fps, 1))
+            fh.truncate(24 + 16 * fps * height * width * 3)
+        tiny = {"t_frames": 2, "side": 16}
+        config = dict(TOY_CONFIG, data_root=str(tmp_path / "data"), preprocess=tiny,
+                      encoder=dict(TOY_CONFIG["encoder"], patch=8, **tiny))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        model = ModelParams.init(load_run_config(str(cfg_path)).model_config, seed=0)
+        save_checkpoint(tmp_path / "m.xckp", model, epoch=0, val_accuracy=None)
+        peaks = {
+            seconds: cli_peak_rss_mb([
+                "detect", "--config", cfg_path, "--checkpoint", tmp_path / "m.xckp",
+                "--jobs", 1, "--game", GAME, "--video", "long.rgbc", "--seconds", seconds,
+                "--out", tmp_path / f"preds-{seconds}.jsonl",
+            ], tmp_path)
+            for seconds in (2, 16)
+        }
+        assert len((tmp_path / "preds-16.jsonl").read_text().splitlines()) == 16
+        # one second's selected frames, 11.9 MB; a session read through a map
+        # of the file grows by about 33 MB from 2 to 16 seconds
+        assert peaks[16] - peaks[2] < tiny["t_frames"] * frame_mb, peaks

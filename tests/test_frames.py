@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -25,15 +29,16 @@ from fragreel.errors import (
 from fragreel.frames import (
     ClipStore,
     Command,
+    FrameReader,
     PreprocessConfig,
     RawClip,
-    extract_second,
     frame_indices,
     normalize,
     preprocess_clip,
-    read_rgbc,
-    read_rgbc_file,
+    read_stream,
     resize_bilinear,
+    rgbc_file_header,
+    second_window,
     write_rgbc,
 )
 
@@ -44,82 +49,118 @@ def random_clip(frames=8, height=6, width=6, fps=4, seed=0) -> RawClip:
     return RawClip(frames=data, fps=Fraction(fps))
 
 
+def whole_stream(clip: RawClip) -> PreprocessConfig:
+    """The preprocessing that keeps every frame of ``clip`` at its size."""
+    return PreprocessConfig(t_frames=clip.frame_count, side=clip.frames.shape[1])
+
+
 class TestRgbcContainer:
-    def test_round_trip(self):
+    def test_stream_round_trip(self):
         clip = random_clip()
-        back = read_rgbc(write_rgbc(clip))
-        np.testing.assert_array_equal(back.frames, clip.frames)
-        assert back.fps == clip.fps
+        got = read_stream(io.BytesIO(write_rgbc(clip)), whole_stream(clip))
+        assert got.tobytes() == normalize(clip.frames).tobytes()
 
     def test_file_round_trip(self, tmp_path):
         clip = random_clip(seed=1)
         path = tmp_path / "v.rgbc"
         path.write_bytes(write_rgbc(clip))
-        back = read_rgbc_file(path)
-        np.testing.assert_array_equal(back.frames, clip.frames)
+        shape, fps = rgbc_file_header(path)
+        assert shape == clip.frames.shape and fps == clip.fps
+        with open(path, "rb") as fh:
+            reader = FrameReader(fh, shape, lock=threading.Lock())
+            back = np.stack([reader.frame(i).copy() for i in range(reader.frame_count)])
+        np.testing.assert_array_equal(back, clip.frames)
+
+    def test_file_reader_reads_the_frames_of_its_window_in_any_order(self, tmp_path):
+        clip = random_clip(frames=12, seed=2)
+        path = tmp_path / "v.rgbc"
+        path.write_bytes(write_rgbc(clip))
+        with open(path, "rb", buffering=0) as fh:
+            reader = FrameReader(fh, clip.frames.shape, first=4, count=5, lock=threading.Lock())
+            assert reader.frame_count == 5
+            np.testing.assert_array_equal(reader.frame(4), clip.frames[8])
+            assert fh.tell() == 24 + 9 * clip.frames[0].nbytes  # nothing past the frame
+            np.testing.assert_array_equal(reader.frame(1), clip.frames[5])
+
+    def test_pipe_reader_drops_the_frames_it_passes(self):
+        clip = random_clip(frames=6, seed=3)
+        fh = io.BytesIO(write_rgbc(clip)[24:])
+        reader = FrameReader(fh, clip.frames.shape)
+        np.testing.assert_array_equal(reader.frame(4), clip.frames[4])
+        assert fh.tell() == 5 * clip.frames[0].nbytes
+        with pytest.raises(ValueError, match="behind the read position"):
+            reader.frame(3)
+        reader.finish()
+        assert fh.tell() == 6 * clip.frames[0].nbytes
 
     def test_duration(self):
         clip = random_clip(frames=10, fps=4)
         assert clip.duration_s == 2.5
 
     def test_bad_magic_raises(self):
-        with pytest.raises(MalformedJson):
-            read_rgbc(b"JUNK" + b"\x00" * 24)
+        with pytest.raises(MalformedJson, match="not an RGBC stream"):
+            read_stream(io.BytesIO(b"JUNK" + b"\x00" * 24), PreprocessConfig())
 
     def test_truncated_payload_raises(self):
-        blob = write_rgbc(random_clip())
-        with pytest.raises(MalformedJson):
-            read_rgbc(blob[:-1])
+        clip = random_clip()
+        blob = write_rgbc(clip)
+        expected = f"header implies {len(blob)} bytes, stream has {len(blob) - 1}"
+        with pytest.raises(MalformedJson, match=expected):
+            read_stream(io.BytesIO(blob[:-1]), whole_stream(clip))
 
     def test_trailing_bytes_raise(self):
-        blob = write_rgbc(random_clip())
+        clip = random_clip()
+        blob = write_rgbc(clip)
         expected = f"header implies {len(blob)} bytes, stream has {len(blob) + 40}"
         with pytest.raises(MalformedJson, match=expected):
-            read_rgbc(blob + bytes(40))
+            read_stream(io.BytesIO(blob + bytes(40)), PreprocessConfig(t_frames=2, side=4))
 
     def test_zero_dimension_raises(self):
         blob = b"RGBC" + struct.pack("<5I", 0, 4, 1, 4, 1)
         with pytest.raises(ZeroDimension):
-            read_rgbc(blob)
+            read_stream(io.BytesIO(blob), PreprocessConfig())
 
     def test_zero_fps_raises(self):
         blob = b"RGBC" + struct.pack("<5I", 2, 2, 0, 0, 1)
         with pytest.raises(MalformedJson):
-            read_rgbc(blob)
+            read_stream(io.BytesIO(blob), PreprocessConfig())
+
+    def test_empty_stream_raises(self):
+        blob = b"RGBC" + struct.pack("<5I", 2, 2, 0, 4, 1)
+        with pytest.raises(EmptyClip):
+            read_stream(io.BytesIO(blob), PreprocessConfig())
 
     @pytest.mark.parametrize("extra_frames", [1, -1])
     def test_file_header_must_match_file_size(self, tmp_path, extra_frames):
         blob = write_rgbc(random_clip(frames=8))
         path = tmp_path / "v.rgbc"
         path.write_bytes(blob[:12] + struct.pack("<I", 8 + extra_frames) + blob[16:])
-        with pytest.raises(MalformedJson, match="v.rgbc"):
-            read_rgbc_file(path)
+        with pytest.raises(MalformedJson, match="v.rgbc: RGBC header implies"):
+            rgbc_file_header(path)
 
     def test_non_uint8_frames_rejected(self):
         with pytest.raises(ValueError):
             RawClip(frames=np.zeros((1, 2, 2, 3), dtype=np.float32), fps=Fraction(1))
 
 
-class TestExtractSecond:
+class TestSecondWindow:
+    """First frame and frame count of the one-second window at a start."""
+
     def test_middle_window(self):
-        clip = random_clip(frames=12, fps=4)
-        window = extract_second(clip, 1.0)
-        np.testing.assert_array_equal(window.frames, clip.frames[4:8])
+        assert second_window(12, 4.0, 1.0) == (4, 4)
 
     def test_clamped_at_end(self):
-        clip = random_clip(frames=12, fps=4)
-        window = extract_second(clip, 99.0)
-        np.testing.assert_array_equal(window.frames, clip.frames[8:12])
+        assert second_window(12, 4.0, 99.0) == (8, 4)
 
     def test_clamped_at_start(self):
-        clip = random_clip(frames=12, fps=4)
-        window = extract_second(clip, -5.0)
-        np.testing.assert_array_equal(window.frames, clip.frames[0:4])
+        assert second_window(12, 4.0, -5.0) == (0, 4)
+
+    def test_clip_shorter_than_a_second_is_one_window(self):
+        assert second_window(3, 4.0, 0.5) == (0, 3)
 
     def test_empty_clip_raises(self):
-        clip = RawClip(frames=np.zeros((0, 2, 2, 3), dtype=np.uint8), fps=Fraction(1))
         with pytest.raises(EmptyClip):
-            extract_second(clip, 0.0)
+            second_window(0, 1.0, 0.0)
 
 
 class TestSelectFrames:
@@ -305,14 +346,14 @@ class TestClipStore:
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out, store.clips(GameId.CSGO, "v")(1.0))
 
-    def test_seconds_match_a_whole_read(self, tmp_path):
-        self.write_video(tmp_path, frames=18)  # 4.5 s at 4 fps
-        whole = read_rgbc((tmp_path / "CSGO" / "v.rgbc").read_bytes())
+    def test_seconds_match_the_frames_in_memory(self, tmp_path):
+        clip = self.write_video(tmp_path, frames=18)  # 4.5 s at 4 fps
         store = self.store(tmp_path)
         clip_at = store.clips(GameId.CSGO, "v")
         for start_s in [-2.0, -0.5, *np.arange(0.0, 7.0, 0.5)]:  # both ends clamp
-            want = preprocess_clip(extract_second(whole, start_s), store.preprocess)
-            np.testing.assert_array_equal(clip_at(start_s), want)
+            first = min(max(round(start_s * 4), 0), 18 - 4)
+            window = RawClip(frames=clip.frames[first : first + 4], fps=clip.fps)
+            np.testing.assert_array_equal(clip_at(start_s), preprocess_clip(window, store.preprocess))
 
     def test_clip_starting_at_or_past_the_end_raises_naming_the_file(self, tmp_path):
         self.write_video(tmp_path, frames=18)  # 4.5 s at 4 fps
@@ -385,9 +426,43 @@ from fractions import Fraction
 from fragreel.frames import RawClip, write_rgbc
 
 start = float(sys.argv[2])
-frames = np.full((4, 4, 4, 3), int(start) % 256, dtype=np.uint8)
+frames = np.full((4, 4, 4, 3), int(start), dtype=np.uint8) + np.arange(4, dtype=np.uint8)[:, None, None, None]
 sys.stdout.buffer.write(write_rgbc(RawClip(frames=frames, fps=Fraction(4))))
 """
+
+
+def stream_script(pid_file: Path, frames: int, written: int | None, trailing: int = 0,
+                  code: int = 0, stderr: bytes = b"", height: int = 4, width: int = 4,
+                  fps: int = 4) -> str:
+    """A decoder that records its pid, writes ``stderr``, then an RGBC header
+    of ``frames`` zero frames, ``written`` of them (None: none, and then it
+    sleeps without end), and ``trailing`` more bytes, and exits with ``code``."""
+    return f"""
+import os, struct, sys
+with open({str(pid_file)!r}, "w") as fh:
+    fh.write(str(os.getpid()))
+sys.stderr.buffer.write({stderr!r})
+sys.stderr.flush()
+out = sys.stdout.buffer
+out.write(b"RGBC" + struct.pack("<5I", {width}, {height}, {frames}, {fps}, 1))
+frame = bytes({height * width * 3})
+out.flush()
+written = {written}
+if written is None:
+    import time
+    time.sleep(3600)
+for _ in range(written or 0):
+    out.write(frame)
+out.write(bytes({trailing}))
+out.flush()
+sys.exit({code})
+"""
+
+
+def assert_reaped(pid_file: Path) -> None:
+    """The process whose pid the file holds has exited and been waited for."""
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 class TestDecoderSource:
@@ -398,11 +473,18 @@ class TestDecoderSource:
         helper.write_text(script)
         return frames.decoder(f"{sys.executable} {helper} {{input}} {{start}} {{dur}}")
 
+    def store(self, tmp_path, script, cfg=PreprocessConfig(t_frames=2, side=4)):
+        folder = tmp_path / "CSGO"
+        folder.mkdir(exist_ok=True)
+        (folder / "v.mp4").write_bytes(b"fakevideo")
+        return ClipStore(data_root=tmp_path, preprocess=cfg, decoder=self.make(tmp_path, script))
+
     def test_fetch_decodes_stream(self, tmp_path):
         decoder = self.make(tmp_path)
-        clip = read_rgbc(decoder.run(input="ignored.mp4", start="7.0", dur="1.0"))
-        assert clip.frames.shape == (4, 4, 4, 3)
-        assert np.all(clip.frames == 7)
+        with decoder.output(input="ignored.mp4", start="7.0", dur="1.0") as stdout:
+            clip = read_stream(stdout, PreprocessConfig(t_frames=4, side=4))
+        want = np.full((4, 4, 4, 3), 7, dtype=np.uint8) + np.arange(4, dtype=np.uint8)[:, None, None, None]
+        assert clip.tobytes() == normalize(want).tobytes()
 
     def test_missing_placeholder_rejected(self):
         with pytest.raises(ConfigError, match="decoder template"):
@@ -411,21 +493,66 @@ class TestDecoderSource:
     def test_nonzero_exit_raises(self, tmp_path):
         decoder = self.make(tmp_path, script="import sys; sys.exit(9)")
         with pytest.raises(DataResolutionError, match=r"decoder exited 9: .* x\.mp4 0\.0 1\.0"):
-            decoder.run(input="x.mp4", start="0.0", dur="1.0")
+            with decoder.output(input="x.mp4", start="0.0", dur="1.0") as stdout:
+                read_stream(stdout, PreprocessConfig())
 
     def test_store_routes_non_rgbc_through_decoder(self, tmp_path):
-        folder = tmp_path / "CSGO"
-        folder.mkdir()
-        (folder / "v.mp4").write_bytes(b"fakevideo")
-        store = ClipStore(
-            data_root=tmp_path,
-            preprocess=PreprocessConfig(t_frames=2, side=4),
-            decoder=self.make(tmp_path),
-        )
+        store = self.store(tmp_path, DECODER_SCRIPT)
         got = store.clips(GameId.CSGO, "v.mp4")(3.0)
-        frames = np.full((4, 4, 4, 3), 3, dtype=np.uint8)
+        # frames 0 and 3 of the four are selected; 1 and 2 are read and dropped
+        frames = np.full((4, 4, 4, 3), 3, dtype=np.uint8) + np.arange(4, dtype=np.uint8)[:, None, None, None]
         want = preprocess_clip(RawClip(frames=frames, fps=Fraction(4)), store.preprocess)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("script, error, message", [
+        (dict(frames=4, written=2, code=5, stderr=b"boom"), DataResolutionError,
+         r"decoder exited 5: .*v\.mp4 0\.0 1\.0: b'boom'"),
+        (dict(frames=4, written=3), MalformedJson,
+         r"^decoder .*v\.mp4 0\.0 1\.0: RGBC header implies 216 bytes, stream has 168$"),
+        (dict(frames=4, written=4, trailing=40), MalformedJson,
+         r"^decoder .*v\.mp4 0\.0 1\.0: RGBC header implies 216 bytes, stream has 256$"),
+    ], ids=["nonzero_exit", "short_stream", "trailing_bytes"])
+    def test_a_failed_second_leaves_no_decoder_running(self, tmp_path, script, error, message):
+        pid = tmp_path / "decoder.pid"
+        store = self.store(tmp_path, stream_script(pid, **script))
+        with pytest.raises(error, match=message):
+            store.clips(GameId.CSGO, "v.mp4")(0.0)
+        assert_reaped(pid)
+
+    def test_an_error_while_reading_kills_the_decoder(self, tmp_path):
+        # the decoder writes its header and then sleeps for an hour
+        pid = tmp_path / "decoder.pid"
+        decoder = self.make(tmp_path, stream_script(pid, frames=4, written=None))
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="stop"):
+            with decoder.output(input="x.mp4", start="0.0", dur="1.0") as stdout:
+                stdout.read(24)
+                raise RuntimeError("stop")
+        assert time.monotonic() - started < 60
+        assert_reaped(pid)
+
+    def test_a_full_stderr_does_not_stall_the_decoder(self, tmp_path):
+        pid = tmp_path / "decoder.pid"
+        store = self.store(tmp_path, stream_script(pid, frames=4, written=4, stderr=bytes(2**20)))
+        clip = store.clips(GameId.CSGO, "v.mp4")(0.0)
+        assert clip.tobytes() == normalize(np.zeros((2, 4, 4, 3), np.uint8)).tobytes()
+        assert_reaped(pid)
+
+    def test_1080p_second_peaks_under_twice_the_clip(self, tmp_path):
+        # one 1080p30 second through a decoder, at the shipped preprocessing
+        pid = tmp_path / "decoder.pid"
+        script = stream_script(pid, frames=30, written=30, height=1080, width=1920, fps=30)
+        clip_at = self.store(tmp_path, script, PreprocessConfig()).clips(GameId.CSGO, "v.mp4")
+        tracemalloc.start()
+        try:
+            clip = clip_at(0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert clip.shape == (32, 224, 224, 3)
+        zero = normalize(np.zeros((224, 224, 3), np.uint8))
+        np.testing.assert_array_equal(clip, np.broadcast_to(zero, clip.shape))
+        assert peak < 2 * clip.nbytes
 
 
 class TestCommand:
