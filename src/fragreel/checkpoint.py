@@ -13,6 +13,11 @@ produces byte-identical files.
 Loading maps the file read-only and returns ``np.frombuffer`` views over
 the mapping, so no tensor is copied: pages are read as they are touched,
 and the arrays are read-only, so nothing can write into a loaded tensor.
+Each parameter group (the first segment of a tensor name: ``head``,
+``prompt``, ``text``, ``video``) gets a mapping of its own, from its first
+byte, moved down to a multiple of ``mmap.ALLOCATIONGRANULARITY``, to its
+last. So once a caller drops a group's tensors, as ``detect`` drops the text
+encoder, that group's pages leave the process.
 A writer fills a temporary file beside the target and then renames it over
 the target, so a process that has the old file mapped keeps its old bytes.
 On load every index entry is checked (known dtype, non-negative int shape,
@@ -160,7 +165,7 @@ def _read_head(fh, path, magic: bytes) -> tuple[bytes, int, int]:
 
 def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and every tensor of a container, as read-only views over
-    the file mapped read-only."""
+    one read-only mapping of the file per parameter group."""
     with open(path, "rb") as fh:
         blob, start, size = _read_head(fh, path, magic)
         try:
@@ -178,14 +183,28 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         for (_, prev_end, prev, *_), (begin, _, name, *_) in zip(spans, spans[1:]):
             if begin < prev_end:
                 raise DataError(f"{path}: tensor {name!r} overlaps tensor {prev!r}")
-        # the header check above leaves at least the fixed part, so the file
-        # is not empty, which mmap refuses
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    arrays = {
-        name: np.frombuffer(mapped, dtype, math.prod(shape), start + begin).reshape(shape)
+        groups: dict[str, list] = {}
+        for span in spans:
+            groups.setdefault(span[2].split(".", 1)[0], []).append(span)
+        arrays = {}
+        for members in groups.values():
+            arrays.update(_map_group(fh, start, members))
+    return header, arrays
+
+
+def _map_group(fh, start: int, spans) -> dict[str, np.ndarray]:
+    """Views of one group's tensors, whose ``spans`` are sorted by offset,
+    over one read-only mapping of the bytes from the first to the last."""
+    first = start + spans[0][0]
+    base = first - first % mmap.ALLOCATIONGRANULARITY
+    length = start + max(end for _, end, *_ in spans) - base
+    # a length of 0 would map the whole file
+    mapped = mmap.mmap(fh.fileno(), length, access=mmap.ACCESS_READ, offset=base) \
+        if length else b""
+    return {
+        name: np.frombuffer(mapped, dtype, math.prod(shape), start + begin - base).reshape(shape)
         for begin, _, name, shape, dtype in spans
     }
-    return header, arrays
 
 
 def _is_int(value) -> bool:

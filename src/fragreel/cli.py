@@ -17,10 +17,14 @@ import argparse
 import json
 import logging
 import math
-import resource
 import sys
 import time
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 import numpy as np
 
@@ -122,7 +126,15 @@ def _load_model(path: str, run: RunConfig):
 
 
 def _session(args, run: RunConfig):
-    """Model, activation qctx, prompt set and the clips of ``args.video``."""
+    """Model, activation qctx, prompt set, prompt cache and the clips of
+    ``args.video``.
+
+    A session classifies with one prompt set, so the cache's one fill is
+    the text encoder's last read, and the fill then drops the text tensors
+    from the params: once nothing else holds them, the text group's mapping,
+    or its dequantized copy, is freed. The fill runs in the first
+    classification, so in a pool it overlaps the other workers' seconds.
+    """
     game = parse_game(args.game)
     params, qctx = _load_model(args.checkpoint, run)
     store = _store(run)
@@ -131,7 +143,8 @@ def _session(args, run: RunConfig):
     if seconds < 1:
         raise EmptyInput(f"{args.video}: no whole second to classify")
     prompt_set = prompt_set_for(game, load_catalogue(run.catalogue))
-    return params, qctx, prompt_set, SessionClips(store, game, args.video, seconds)
+    cache = PromptCache(on_fill=lambda: params.drop("text_encoder"))
+    return params, qctx, prompt_set, cache, SessionClips(store, game, args.video, seconds)
 
 
 def cmd_sample_background(args, run: RunConfig) -> int:
@@ -183,8 +196,26 @@ def _split_examples(manifest, store, run: RunConfig):
     return train_set, test_set
 
 
-def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
+def _peak_rss_mb(status: str = "/proc/self/status") -> float | None:
+    """This process's own peak RSS in MB (2**20 bytes), or None where it
+    cannot be read.
+
+    Where ``status`` exists (Linux), that is its VmHWM. ``ru_maxrss`` there
+    keeps the high-water mark from before ``exec``, so a small child of a
+    large process would read as large. Elsewhere it is ``ru_maxrss``;
+    Windows has neither.
+    """
+    try:
+        with open(status, "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 1024  # kB
+    except OSError:
+        pass
+    if resource is None:
+        return None
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return maxrss / (2**20 if sys.platform == "darwin" else 1024)  # bytes on macOS, else KiB
 
 
 def cmd_train(args, run: RunConfig) -> int:
@@ -204,8 +235,9 @@ def cmd_train(args, run: RunConfig) -> int:
         # counts the previous epoch's evaluation and checkpoint
         nonlocal last_step
         now = time.perf_counter()
-        logger.info("train: epoch %d step %d loss %.6f, %.2f s, max RSS %.0f MB",
-                    epoch, step, loss, now - last_step, _peak_rss_mb())
+        rss = _peak_rss_mb()
+        logger.info("train: epoch %d step %d loss %.6f, %.2f s, max RSS %s MB",
+                    epoch, step, loss, now - last_step, "?" if rss is None else f"{rss:.0f}")
         last_step = now
 
     history = train(
@@ -265,14 +297,12 @@ def cmd_quantize(args, run: RunConfig) -> int:
 
 
 def cmd_detect(args, run: RunConfig) -> int:
-    params, qctx, prompt_set, clips = _session(args, run)
+    params, qctx, prompt_set, cache, clips = _session(args, run)
     seconds = len(clips)
     workers, per_worker = worker_plan(run.jobs, seconds)
     logger.info("detect: %d seconds on %d workers, %s BLAS threads each",
                 seconds, workers, per_worker)
-    preds = classify_session(
-        clips, prompt_set, params, cache=PromptCache(), qctx=qctx, jobs=run.jobs
-    )
+    preds = classify_session(clips, prompt_set, params, cache=cache, qctx=qctx, jobs=run.jobs)
     lines = []
     for p in preds:
         lines.append(
@@ -352,9 +382,8 @@ def cmd_highlight(args, run: RunConfig) -> int:
 
 
 def cmd_bench(args, run: RunConfig) -> int:
-    params, qctx, prompt_set, clips = _session(args, run)
+    params, qctx, prompt_set, cache, clips = _session(args, run)
     seconds = len(clips)
-    cache = PromptCache()
     latencies = []
     for i in range(seconds):
         clip = clips[i]

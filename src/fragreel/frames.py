@@ -49,6 +49,10 @@ from .errors import (
 )
 
 RGBC_MAGIC = b"RGBC"
+# The largest frame side an RGBC header may declare, in pixels; 8K video is
+# 7680 x 4320. The frame buffer is allocated from the header, so a larger
+# side is refused before any allocation.
+MAX_SIDE = 16384
 
 # Channel statistics on the 0-255 scale (the canonical ImageNet values).
 DEFAULT_MEAN = (123.675, 116.28, 103.55)
@@ -107,6 +111,9 @@ def _rgbc_header(head: bytes) -> tuple[tuple[int, int, int, int], Fraction]:
     width, height, count, fps_num, fps_den = struct.unpack("<5I", head[4:24])
     if width == 0 or height == 0:
         raise ZeroDimension("RGBC header declares a zero dimension")
+    if width > MAX_SIDE or height > MAX_SIDE:
+        raise DataError(f"RGBC header declares {width} x {height} pixels, "
+                        f"over the limit of {MAX_SIDE} a side")
     if fps_den == 0 or fps_num == 0:
         raise MalformedJson("RGBC header declares a zero frame rate")
     return (count, height, width, 3), Fraction(fps_num, fps_den)

@@ -67,7 +67,15 @@ def worker_plan(jobs: int, n_items: int) -> tuple[int, int | None]:
     workers = max(1, min(jobs, n_items))
     if workers == 1 or _openblas() is None:
         return workers, blas_threads()
-    return workers, max(1, len(os.sched_getaffinity(0)) // workers)
+    return workers, max(1, _cores() // workers)
+
+
+def _cores() -> int:
+    """The cores this process may run on; the machine's count where the
+    affinity cannot be read (Windows, macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @contextmanager

@@ -236,6 +236,12 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
+    def drop(self, group: str) -> None:
+        """Forgets the tensors of one group, which then raise KeyError. The
+        dict is replaced, not edited, so threads reading other tensors
+        meanwhile are unaffected."""
+        self.tensors = {name: t for name, t in self.tensors.items() if group_of(name) != group}
+
     def names(self) -> list[str]:
         return sorted(self.tensors)
 

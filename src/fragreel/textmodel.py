@@ -190,15 +190,20 @@ def video_prompt(c: Tensor, v: Tensor, params: ModelParams, qctx=None) -> Tensor
 class PromptCache:
     """Base prompt embeddings of one set of text weights, keyed by PromptSet.
 
-    A cache must not outlive the text weights it was filled from: a caller
-    that changes them starts a new cache. ``fetch`` holds the lock across a
-    miss, its fill and the insert, so each key is filled once. Hits return
-    the stored array, so they are bit-identical.
+    A cache stands for the text weights it was filled from: a caller that
+    changes them starts a new cache. It may outlive them by design:
+    ``on_fill``, when given, runs after each fill, and ``detect`` and
+    ``bench``, which classify with one prompt set, pass one that drops the
+    text encoder, so every later read of the text side is a hit. ``fetch``
+    holds the lock across a miss, its fill, the insert and ``on_fill``, so
+    each key is filled once. Hits return the stored array, so they are
+    bit-identical.
     """
 
-    def __init__(self):
+    def __init__(self, on_fill=None):
         self._store: dict[PromptSet, np.ndarray] = {}
         self._lock = threading.RLock()  # reentrant: fetch calls lookup under it
+        self._on_fill = on_fill
         self.hits = 0
         self.misses = 0
         self.encode_calls = 0  # prompt rows encoded to fill the cache
@@ -221,6 +226,8 @@ class PromptCache:
                 found.setflags(write=False)
                 self._store[key] = found
                 self.encode_calls += len(found)
+                if self._on_fill is not None:
+                    self._on_fill()
             return found
 
 

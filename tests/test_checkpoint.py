@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 import tracemalloc
@@ -391,6 +392,38 @@ class TestMappedLoad:
             assert stored[name][0].tobytes() == q.tobytes()
             assert stored[name][1] == scale
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.xckq"]
+
+    @pytest.mark.parametrize("interleave", [False, True], ids=["contiguous", "interleaved"])
+    def test_each_group_reads_the_bytes_its_index_names(self, tmp_path, interleave):
+        """Each group is mapped on its own from a granularity boundary: a
+        group that starts off a boundary, or whose tensors interleave with
+        another group's, still reads the bytes at its tensors' offsets."""
+        rng = np.random.default_rng(0)
+        arrays = {
+            # puts group b past the first boundary of the payload, off the next
+            "a.0": rng.normal(size=mmap.ALLOCATIONGRANULARITY // 4 + 3).astype(np.float32),
+            "a.1": rng.normal(size=5).astype(np.float32),
+            "b.0": rng.normal(size=5).astype(np.float32),
+            "b.1": rng.normal(size=7).astype(np.float64),
+        }
+        path = tmp_path / "c.bin"
+        write_container(path, MAGIC_FP32, {}, arrays)
+        if interleave:  # a.1 and b.0 trade places: b.0 then lies inside group a
+            def swap(header):
+                index = header["tensors"]
+                index["a.1"]["offset"], index["b.0"]["offset"] = \
+                    index["b.0"]["offset"], index["a.1"]["offset"]
+            rewrite_header(path, swap)
+        header, back = read_container(path, MAGIC_FP32)
+        blob = path.read_bytes()
+        start = len(blob) - payload_bytes(path, MAGIC_FP32)
+        offsets = {name: start + entry["offset"] for name, entry in header["tensors"].items()}
+        assert min(offsets["b.0"], offsets["b.1"]) % mmap.ALLOCATIONGRANULARITY
+        for name, arr in back.items():
+            assert arr.tobytes() == blob[offsets[name]: offsets[name] + arr.nbytes], name
+        swapped = {"a.1": "b.0", "b.0": "a.1"} if interleave else {}
+        for name in arrays:
+            np.testing.assert_array_equal(back[name], arrays[swapped.get(name, name)])
 
     def test_failed_save_keeps_the_old_file_and_no_temporary(self, tmp_path, params, monkeypatch):
         path = tmp_path / "m.xckp"

@@ -1,13 +1,17 @@
 """End-to-end command-line pipeline over a synthetic two-video dataset."""
 
+import gc
 import json
 import logging
+import math
+import mmap
 import os
 import re
 import shlex
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,14 +20,23 @@ import pytest
 from conftest import cli_peak_rss_mb, rewrite_header
 
 import fragreel
-from fragreel.annotations import events_from_json, manifest_from_json, parse_via
+from fragreel.annotations import (
+    ClipRef,
+    DatasetManifest,
+    events_from_json,
+    manifest_from_json,
+    manifest_to_json,
+    parse_via,
+)
 from fragreel.catalogue import EventLabel, GameId
 from fragreel.checkpoint import load_checkpoint, save_checkpoint
 from fragreel.config import load_run_config
-from fragreel import detection
-from fragreel.cli import main
+from fragreel import cli, detection
+from fragreel.cli import build_parser, main
 from fragreel.frames import ClipStore, RawClip, write_rgbc
-from fragreel.params import ModelParams
+from fragreel.params import ModelParams, param_count
+from fragreel.quantize import load_model, quantize_params
+from fragreel.textmodel import PromptCache, load_catalogue, prompt_set_for
 
 GAME = GameId.CSGO.value
 
@@ -342,6 +355,165 @@ class TestFlags:
         assert len(calls) == 6
 
 
+class TestTextRelease:
+    """`detect` and `bench` drop the text encoder once the prompt cache is filled."""
+
+    def session(self, env, tmp_path, checkpoint, config=None):
+        """``cli._session`` of a 2-second `detect` of bravo.rgbc and its
+        predictions at ``jobs=2``."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config or json.loads(env["config"].read_text())))
+        args = build_parser().parse_args([str(a) for a in [
+            "detect", "--config", cfg_path, "--checkpoint", checkpoint, "--game", GAME,
+            "--video", "bravo.rgbc", "--seconds", 2, "--out", tmp_path / "p.jsonl"]])
+        params, qctx, prompt_set, cache, clips = cli._session(args, load_run_config(str(cfg_path)))
+        preds = detection.classify_session(clips, prompt_set, params, cache, qctx, jobs=2)
+        return params, qctx, prompt_set, cache, clips, preds
+
+    def wide_text_model(self, env, tmp_path):
+        """A toy model whose text encoder holds most of its bytes, and its
+        run config; the checkpoint is saved as fp32."""
+        config = dict(json.loads(env["config"].read_text()),
+                      text={"d_text": 128, "n_heads": 2, "n_layers": 4, "d_ffn": 512,
+                            "prompt_heads": 2})
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        model = ModelParams.init(load_run_config(str(cfg_path)).model_config, seed=0)
+        save_checkpoint(tmp_path / "m.xckp", model, epoch=0, val_accuracy=None)
+        return model, config
+
+    def test_the_fill_drops_the_text_tensors_and_predictions_stay(self, env, tmp_path):
+        checkpoint = env["artifacts"]["checkpoint"]
+        params, qctx, prompt_set, cache, clips, preds = self.session(env, tmp_path, checkpoint)
+        assert params.names()
+        assert not [name for name in params.names() if name.startswith("text.")]
+        with pytest.raises(KeyError):
+            params["text.proj"]
+        assert cache.encode_calls == len(prompt_set.prompts)
+        assert detection.classify_session(clips, prompt_set, params, cache, qctx) == preds
+        assert cache.encode_calls == len(prompt_set.prompts)
+        full, _ = load_model(checkpoint)
+        assert preds == detection.classify_session(clips, prompt_set, full, PromptCache())
+
+    def test_fp32_text_group_is_unmapped(self, env, tmp_path):
+        """The bytes this process maps from the checkpoint cover every group
+        after the load and all but the text group after the fill, give or
+        take a page per group."""
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("needs /proc/self/maps")
+        model, config = self.wide_text_model(env, tmp_path)
+        path = tmp_path / "m.xckp"
+        spans = {}
+        for name, entry in load_checkpoint(path)[1]["tensors"].items():
+            group = name.split(".")[0]
+            end = entry["offset"] + 4 * math.prod(entry["shape"])
+            first, last = spans.get(group, (entry["offset"], end))
+            spans[group] = (min(first, entry["offset"]), max(last, end))
+        size = {group: last - first for group, (first, last) in spans.items()}
+        slack = 2 * mmap.PAGESIZE * len(size)
+        assert size["text"] > 10 * slack  # the text group is most of the file
+        loaded = load_model(path)
+        assert abs(mapped_bytes(path) - sum(size.values())) <= slack
+        del loaded
+        session = self.session(env, tmp_path, path, config)
+        gc.collect()
+        assert abs(mapped_bytes(path) - (sum(size.values()) - size["text"])) <= slack
+        assert session[0].names() == [n for n in model.names() if not n.startswith("text.")]
+
+    def test_int8_dequantized_text_tensors_are_freed(self, env, tmp_path):
+        model, config = self.wide_text_model(env, tmp_path)
+        path = tmp_path / "m.xckq"
+        prompt_set = prompt_set_for(GameId.CSGO, load_catalogue())
+        quantize_params(model, {}, path, [np.zeros((2, 4, 4, 3), np.float32)], [prompt_set])
+        text_bytes = 4 * param_count(model.config, "text_encoder")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_model(path)
+            whole = tracemalloc.get_traced_memory()[0] - before
+            del loaded
+            session = self.session(env, tmp_path, path, config)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert session[0].names()
+        # the rest of the session (file buffer, cache, clips) is a few percent
+        assert whole - kept == pytest.approx(text_bytes, rel=0.05)
+
+
+def mapped_bytes(path) -> int:
+    """Bytes of the file at ``path`` that this process maps."""
+    target = str(Path(path).resolve())
+    total = 0
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            fields = line.split(None, 5)
+            if len(fields) == 6 and fields[5].rstrip("\n") == target:
+                low, high = (int(x, 16) for x in fields[0].split("-"))
+                total += high - low
+    return total
+
+
+class TestPlatforms:
+    def test_bench_reports_its_own_peak_rss_not_its_parents(self, env, tmp_path):
+        """On Linux, ``ru_maxrss`` keeps the parent's high-water mark across
+        ``exec``; `bench` reports its own, from VmHWM."""
+        ballast_mb = 300
+        ballast = np.ones(ballast_mb << 20, dtype=np.uint8)  # resident in this process
+        out = tmp_path / "bench.json"
+        try:
+            own = cli_peak_rss_mb([
+                "bench", "--config", env["config"], "--checkpoint", env["artifacts"]["checkpoint"],
+                "--game", GAME, "--video", "bravo.rgbc", "--seconds", 2, "--out", out,
+            ], tmp_path)
+        finally:
+            del ballast
+        reported = json.loads(out.read_text())["peak_rss_mb"]
+        # VmHWM is read before and after the report's last allocations
+        assert reported == pytest.approx(own, rel=0.2)
+        assert 0 < reported < ballast_mb / 2
+
+    def test_peak_rss_falls_back_to_rusage_then_to_none(self, tmp_path, monkeypatch):
+        missing = str(tmp_path / "no-status")
+        assert cli._peak_rss_mb(missing) > 0
+        monkeypatch.setattr(cli, "resource", None)
+        assert cli._peak_rss_mb(missing) is None
+
+    def test_detect_and_bench_run_without_resource_or_affinity(self, env, tmp_path):
+        """Windows has neither the resource module nor os.sched_getaffinity."""
+        art = env["artifacts"]
+        preds = tmp_path / "preds.jsonl"
+        bench = tmp_path / "bench.json"
+        commands = [
+            ["detect", "--config", env["config"], "--jobs", 2, "--checkpoint", art["checkpoint"],
+             "--game", GAME, "--video", "alpha.rgbc", "--seconds", 8, "--out", preds],
+            ["bench", "--config", env["config"], "--checkpoint", art["checkpoint"],
+             "--game", GAME, "--video", "bravo.rgbc", "--seconds", 2, "--out", bench],
+        ]
+        script = (
+            "import importlib.abc, json, os, sys\n"
+            "class NoResource(importlib.abc.MetaPathFinder):\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        if name == 'resource':\n"
+            "            raise ModuleNotFoundError(name)\n"
+            "sys.meta_path.insert(0, NoResource())\n"
+            "del os.sched_getaffinity\n"
+            "from fragreel.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv[0]\n"
+            "assert 'resource' not in sys.modules\n"
+        )
+        src = str(Path(fragreel.__file__).parents[1])
+        subprocess.run(
+            [sys.executable, "-c", script, json.dumps([[str(a) for a in c] for c in commands])],
+            env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120,
+        )
+        assert preds.read_bytes() == art["predictions"].read_bytes()
+        report = json.loads(bench.read_text())
+        assert report["encode_calls"] == report["prompt_count"]
+
+
 class TestCutter:
     def test_highlight_invokes_cutter_per_cut(self, env, tmp_path):
         helper = tmp_path / "cutter.py"
@@ -533,6 +705,34 @@ class TestExitCodes:
         ])
         assert rc == 3
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("side", [65535, 2**31], ids=["64k", "2^31"])
+    def test_decoder_header_over_the_side_limit_is_data_error_naming_the_command(
+            self, env, tmp_path, capsys, side):
+        """The frame buffer is allocated from the header, so a side over the
+        limit is refused before that allocation, with no traceback."""
+        data = tmp_path / "data"
+        (data / GAME).mkdir(parents=True)
+        (data / GAME / "v.mp4").write_bytes(b"")
+        helper = tmp_path / "decode.py"
+        helper.write_text("import struct, sys\n"
+                          f"sys.stdout.buffer.write(b'RGBC' + struct.pack('<5I', {side}, {side}, 30, 30, 1))\n")
+        config = dict(json.loads(env["config"].read_text()), data_root=str(data),
+                      decoder=f"{sys.executable} {helper} {{input}} {{start}} {{dur}}")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        manifest = tmp_path / "manifest.json"
+        entry = ClipRef(video="v.mp4", clip_start_s=0.0, label=EventLabel.KILL, game=GameId.CSGO,
+                        split="test")
+        manifest.write_text(manifest_to_json(DatasetManifest(seed=0, entries=(entry,))))
+        rc = run_cli(["eval", "--config", cfg_path, "--manifest", manifest,
+                      "--checkpoint", env["artifacts"]["checkpoint"], "--out", tmp_path / "r.json"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"decoder {shlex.join([sys.executable, str(helper)])} " in err
+        assert f"RGBC header declares {side} x {side} pixels" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_checkpoint_magic_is_data_error_naming_the_file(self, env, tmp_path, capsys):
         ckpt = tmp_path / "model.bin"

@@ -21,6 +21,7 @@ from fragreel.annotations import ClipRef
 from fragreel.catalogue import EventLabel, GameId
 from fragreel.errors import (
     ConfigError,
+    DataError,
     DataResolutionError,
     EmptyClip,
     MalformedJson,
@@ -119,6 +120,18 @@ class TestRgbcContainer:
         blob = b"RGBC" + struct.pack("<5I", 0, 4, 1, 4, 1)
         with pytest.raises(ZeroDimension):
             read_stream(io.BytesIO(blob), PreprocessConfig())
+
+    @pytest.mark.parametrize("width, height", [(16385, 4), (4, 16385), (2**32 - 1, 2**32 - 1)],
+                             ids=["wide", "tall", "u32_max"])
+    def test_side_over_the_limit_raises_before_any_allocation(self, width, height):
+        blob = b"RGBC" + struct.pack("<5I", width, height, 1, 4, 1)
+        with pytest.raises(DataError, match=f"{width} x {height} pixels, over the limit of 16384"):
+            read_stream(io.BytesIO(blob), PreprocessConfig())
+
+    def test_side_at_the_limit_is_read(self):
+        # one 16384 x 1 frame, resized to 4 x 4
+        blob = b"RGBC" + struct.pack("<5I", frames.MAX_SIDE, 1, 1, 4, 1) + bytes(3 * frames.MAX_SIDE)
+        assert read_stream(io.BytesIO(blob), PreprocessConfig(t_frames=1, side=4)).shape == (1, 4, 4, 3)
 
     def test_zero_fps_raises(self):
         blob = b"RGBC" + struct.pack("<5I", 2, 2, 0, 0, 1)

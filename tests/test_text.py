@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import oracle
 from conftest import plain_f64, toy_model_config
+from fragreel import textmodel
 from fragreel.autodiff import Tensor
 from fragreel.catalogue import GAME_EVENTS, EventLabel, GameId
+from fragreel.detection import classify_session
 from fragreel.errors import ConfigError, EmptyPromptSet, TooLong
 from fragreel.params import CONTEXT_LENGTH, ModelParams
 from fragreel.textmodel import (
@@ -301,3 +307,44 @@ class TestPromptCache:
         assert again is rows or again.base is rows
         with pytest.raises(ValueError):
             again[0, 0] = 1.0
+
+    def test_concurrent_seconds_fill_once_then_drop_the_text_encoder(self, monkeypatch):
+        """Many pool workers, with a short switch interval: the one fill
+        runs once under the lock, its ``on_fill`` drops the text tensors
+        while other workers read the video ones, and every second matches a
+        serial run with the text encoder kept."""
+        ps = prompt_set_for(GameId.OW2)
+        rng = np.random.default_rng(3)
+        clips = [rng.normal(size=(2, 4, 4, 3)).astype(np.float32) for _ in range(24)]
+        expected = classify_session(clips, ps, ModelParams.init(toy_model_config(), seed=7),
+                                    PromptCache())
+        params = ModelParams.init(toy_model_config(), seed=7)
+        fills = []
+        cache = PromptCache(on_fill=lambda: fills.append(1) or params.drop("text_encoder"))
+        start = threading.Barrier(8)
+
+        class Together(list):
+            """The first 8 seconds reach their workers at once."""
+
+            def __getitem__(self, i):
+                if i < 8:
+                    start.wait(timeout=30)
+                return super().__getitem__(i)
+
+        encode = textmodel.encode_text
+
+        def slow_encode(*args):  # the other workers reach the cache meanwhile
+            time.sleep(0.05)
+            return encode(*args)
+
+        monkeypatch.setattr(textmodel, "encode_text", slow_encode)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = classify_session(Together(clips), ps, params, cache, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert fills == [1]
+        assert cache.encode_calls == len(ps.prompts)
+        assert params.names() and not [n for n in params.names() if n.startswith("text.")]
