@@ -242,8 +242,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = tuple(np.argsort(axes))
-    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+    # the inverse permutation is found in backward: no_grad calls never need it
+    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def _is_basic_index(index) -> bool:

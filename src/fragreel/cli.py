@@ -42,6 +42,7 @@ from .checkpoint import load_checkpoint
 from .config import RunConfig, describe, load_run_config
 from .detection import (
     SecondPrediction,
+    SessionProgress,
     build_edl,
     classify_second,
     classify_session,
@@ -302,7 +303,9 @@ def cmd_detect(args, run: RunConfig) -> int:
     workers, per_worker = worker_plan(run.jobs, seconds)
     logger.info("detect: %d seconds on %d workers, %s BLAS threads each",
                 seconds, workers, per_worker)
-    preds = classify_session(clips, prompt_set, params, cache=cache, qctx=qctx, jobs=run.jobs)
+    progress = SessionProgress(seconds, logger) if logger.isEnabledFor(logging.INFO) else None
+    preds = classify_session(clips, prompt_set, params, cache=cache, qctx=qctx, jobs=run.jobs,
+                             progress=progress)
     lines = []
     for p in preds:
         lines.append(

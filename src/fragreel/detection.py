@@ -13,6 +13,8 @@ list.
 from __future__ import annotations
 
 import json
+import threading
+import time
 from dataclasses import dataclass
 
 from .autodiff import no_grad
@@ -25,6 +27,7 @@ from .videomodel import encode_video
 WINDOW_S = 3
 PAD_PRE_S = 2.0
 PAD_POST_S = 1.0
+PROGRESS_INTERVAL_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -93,18 +96,49 @@ def classify_second(clip, prompt_set, params, cache=None, qctx=None, second_inde
     )
 
 
-def classify_session(clips, prompt_set, params, cache=None, qctx=None, jobs=1) -> list[SecondPrediction]:
+class SessionProgress:
+    """Logs a session's progress at INFO: seconds done of the total, the
+    wall seconds per second of video and an ETA. It logs at most once per
+    ``interval_s`` of wall time, plus once when the last second is done.
+    Workers call it once per classified second, from any thread."""
+
+    def __init__(self, total: int, log, interval_s: float = PROGRESS_INTERVAL_S,
+                 clock=time.monotonic):
+        self.total, self.log, self.interval_s, self.clock = total, log, interval_s, clock
+        self.done = 0
+        self.start = self.last = clock()
+        self.lock = threading.Lock()
+
+    def __call__(self) -> None:
+        with self.lock:
+            self.done += 1
+            now = self.clock()
+            if self.done < self.total and now - self.last < self.interval_s:
+                return
+            self.last = now
+            per_second = (now - self.start) / self.done
+            self.log.info("detect: %d/%d seconds, %.3f s per second of video, ETA %.0f s",
+                          self.done, self.total, per_second,
+                          per_second * (self.total - self.done))
+
+
+def classify_session(clips, prompt_set, params, cache=None, qctx=None, jobs=1,
+                     progress=None) -> list[SecondPrediction]:
     """Classify a sequence of per-second clips, one prediction per second.
 
     ``clips`` is indexable by second; classification is read-only over the
     model, so seconds run on up to ``jobs`` workers (see ``parallel``).
+    ``progress``, if given, is called after each second (a ``SessionProgress``).
     """
     seconds = len(clips)
     if seconds < 1:
         raise EmptyInput("session shorter than one second")
 
     def work(i: int) -> SecondPrediction:
-        return classify_second(clips[i], prompt_set, params, cache, qctx, second_index=i)
+        pred = classify_second(clips[i], prompt_set, params, cache, qctx, second_index=i)
+        if progress is not None:
+            progress()
+        return pred
 
     return map_ordered(work, range(seconds), jobs)
 

@@ -14,6 +14,12 @@ The context protocol is one method and one optional property:
   that sets this true sees every row instead. Calibration sets it, because
   its per-site maxima are taken over every row; fake-quantization does not
   need it, because it is elementwise with a fixed scale per site.
+
+A context also changes how those pruned rows attend. Without one, they
+attend without projecting any key or value (``mhsa``); with one, keys and
+values are computed for every row, because the ``qk:b`` and ``av:b`` sites
+read them. So an int8 forward is the same with or without pruning, while a
+float32 one differs from the materialized form by rounding only.
 """
 
 from __future__ import annotations
@@ -101,10 +107,18 @@ def mhsa(query: Tensor, key_value: Tensor, params, prefix: str, n_heads: int, qc
 
     Accepts any number of leading batch dimensions as long as they broadcast
     under matmul. Scores scale by 1/sqrt(head width); softmax is over keys.
+
+    Without a context, queries that are a separate tensor with the same
+    leading shape as the keys (a pruned subset of the key rows) take
+    ``_attend_absorbed``, which never projects the keys and values. Under a
+    context the keys and values are materialized, because the ``qk:b`` and
+    ``av:b`` sites read them.
     """
     d = query.shape[-1]
     if d % n_heads != 0:
         raise ShapeMismatch(f"{prefix}: width {d} not divisible by {n_heads} heads")
+    if qctx is None and query is not key_value and query.shape[:-2] == key_value.shape[:-2]:
+        return _attend_absorbed(query, key_value, params, prefix, n_heads)
     q = _split_heads(linear(query, params, f"{prefix}.q", qctx), n_heads)
     k = _split_heads(linear(key_value, params, f"{prefix}.k", qctx), n_heads)
     v = _split_heads(linear(key_value, params, f"{prefix}.v", qctx), n_heads)
@@ -119,6 +133,50 @@ def mhsa(query: Tensor, key_value: Tensor, params, prefix: str, n_heads: int, qc
         qpass(qctx, f"{prefix}.av:b", v),
     )
     return linear(_merge_heads(ctx), params, f"{prefix}.out", qctx)
+
+
+def _rows_by_batch(t: Tensor, batch: int, s_q: int) -> Tensor:
+    """(H, batch*s_q, n) -> (batch, H*s_q, n): heads move behind the batch."""
+    h, _, n = t.shape
+    return reshape(transpose(reshape(t, (h, batch, s_q, n)), (1, 0, 2, 3)), (batch, h * s_q, n))
+
+
+def _attend_absorbed(query: Tensor, key_value: Tensor, params, prefix: str, n_heads: int) -> Tensor:
+    """Attention of a few query rows over x without computing x W_k or x W_v.
+
+    Per head, q·(x W_k + b_k) = (q W_kᵀ)·x + q·b_k, and since each row of
+    attention probabilities sums to one, attn·(x W_v + b_v) = (attn·x) W_v
+    + b_v. The work is O(H·S·d) per query row instead of O(S·d²) per key
+    row. q·b_k is constant over the keys, so the softmax cancels it; it stays
+    in the scores so that ``{prefix}.k.b`` keeps its (zero) gradient.
+
+    Heads go in front and the batch rows are folded together, so each weight
+    product is one batched gemm whose gradient needs no broadcast sum.
+    """
+    *lead, s_q, d = query.shape
+    s, d_kv = key_value.shape[-2:]
+    w_k, w_v = params[f"{prefix}.k.w"], params[f"{prefix}.v.w"]
+    for name, w in (("k", w_k), ("v", w_v)):
+        if d_kv != w.shape[0]:
+            raise ShapeMismatch(f"{prefix}.{name}: input width {d_kv} != {w.shape[0]}")
+    h, dh = n_heads, d // n_heads
+    batch = math.prod(lead)
+    rows = batch * s_q
+    x = reshape(key_value, (batch, s, d_kv))
+    q = linear(reshape(query, (rows, d)), params, f"{prefix}.q")
+    q = transpose(reshape(q, (rows, h, dh)), (1, 0, 2))  # (H, rows, dh)
+
+    u = matmul(q, transpose(reshape(w_k, (d_kv, h, dh)), (1, 2, 0)))  # q W_kᵀ, (H, rows, d_kv)
+    q_b = matmul(q, reshape(params[f"{prefix}.k.b"], (h, dh, 1)))  # q·b_k, (H, rows, 1)
+    scores = matmul(_rows_by_batch(u, batch, s_q), _swap_last(x)) + _rows_by_batch(q_b, batch, s_q)
+    attn = softmax(scores * (1.0 / math.sqrt(dh)))  # (batch, H*s_q, S)
+
+    y = matmul(attn, x)  # attn·x, (batch, H*s_q, d_kv)
+    y = reshape(transpose(reshape(y, (batch, h, s_q, d_kv)), (1, 0, 2, 3)), (h, rows, d_kv))
+    ctx = matmul(y, transpose(reshape(w_v, (d_kv, h, dh)), (1, 0, 2)))  # (H, rows, dh)
+    ctx = ctx + reshape(params[f"{prefix}.v.b"], (h, 1, dh))
+    out = linear(reshape(transpose(ctx, (1, 0, 2)), (rows, d)), params, f"{prefix}.out")
+    return reshape(out, (*lead, s_q, d))
 
 
 def ffn(x: Tensor, params, prefix: str, qctx=None) -> Tensor:

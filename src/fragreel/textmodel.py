@@ -139,8 +139,9 @@ def encode_text(tokens, params: ModelParams, qctx=None) -> Tensor:
 
     The K prompts run as one batch. Only each prompt's EOS row of the last
     layer is read, so that layer computes only those rows (unless the
-    quantization context needs every row); its keys and values still cover
-    the whole context, so the result is exact.
+    quantization context needs every row). Those rows still attend over the
+    whole context, so the result is exact; without a context they do so
+    without projecting the keys and values (``layers.mhsa``).
     """
     cfg = params.config.text
     ids = np.asarray(tokens)

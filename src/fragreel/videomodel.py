@@ -15,8 +15,9 @@ A clip tensor (T, side, side, 3) becomes one embedding of width d_model:
 
 Only the class tokens of the last layer are read, so that layer computes
 just those rows (unless the quantization context needs every row; see
-``layers``). Its keys and values still cover every token, so the pruned
-result is exact.
+``layers``). They still attend over every token, so the pruned result is
+exact. Without a context they do so without projecting any token's key or
+value (``layers.mhsa``), which removes the largest cost of that layer.
 
 Setting every attention and feed-forward output projection to zero turns
 each layer into the identity on frame tokens, which tests rely on.

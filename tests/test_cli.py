@@ -257,6 +257,28 @@ class TestReruns:
         assert out_a.read_bytes() != out_b.read_bytes()
 
 
+class TestProgress:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_verbose_detect_logs_progress_on_stderr_and_writes_the_same_bytes(
+            self, env, tmp_path, jobs):
+        src = str(Path(fragreel.__file__).parents[1])
+        line = re.compile(
+            r"INFO fragreel: detect: (\d+)/8 seconds, \S+ s per second of video, ETA \d+ s$")
+        for verbose in ([], ["-v"]):
+            preds = tmp_path / f"preds{len(verbose)}.jsonl"
+            argv = [*verbose, "detect", "--config", env["config"], "--jobs", jobs,
+                    "--checkpoint", env["artifacts"]["checkpoint"], "--game", GAME,
+                    "--video", "alpha.rgbc", "--seconds", 8, "--out", preds]
+            done = subprocess.run(
+                [sys.executable, "-m", "fragreel.cli", *map(str, argv)], capture_output=True,
+                text=True, env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120,
+            )
+            assert done.stdout == ""
+            seen = [m.group(1) for m in map(line.match, done.stderr.splitlines()) if m]
+            assert seen == (["8"] if verbose else []), done.stderr
+            assert preds.read_bytes() == env["artifacts"]["predictions"].read_bytes()
+
+
 class TestModelFreeCommands:
     def test_import_and_model_free_commands_leave_scipy_unloaded(self, env, tmp_path):
         """scipy (for GELU's erf) loads only when a model first runs."""

@@ -1,7 +1,9 @@
 """Session inference: windowing, overlap scoring, and highlight cuts."""
 
 import json
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from fragreel.detection import (
     Cut,
     HighlightEdl,
     SecondPrediction,
+    SessionProgress,
     WindowDecision,
     build_edl,
     classify_session,
@@ -280,6 +283,77 @@ class TestClassifySession:
         cache = PromptCache()
         classify_session(SimultaneousClips(), prompt_set, params, cache=cache, jobs=2)
         assert cache.encode_calls == len(prompt_set.prompts)
+
+
+class LineRecorder:
+    """Stands in for a logger: keeps each INFO message, formatted."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+
+    def info(self, msg, *args):
+        self.lines.append(msg % args)
+
+
+class TestSessionProgress:
+    def test_at_most_one_line_per_interval_plus_a_final_line(self):
+        now = [100.0]
+        log = LineRecorder()
+        progress = SessionProgress(10, log, interval_s=5.0, clock=lambda: now[0])
+        for _ in range(10):
+            now[0] += 2.0  # one second of video every 2 s of wall time
+            progress()
+        assert log.lines == [
+            "detect: 3/10 seconds, 2.000 s per second of video, ETA 14 s",
+            "detect: 6/10 seconds, 2.000 s per second of video, ETA 8 s",
+            "detect: 9/10 seconds, 2.000 s per second of video, ETA 2 s",
+            "detect: 10/10 seconds, 2.000 s per second of video, ETA 0 s",
+        ]
+
+    def test_workers_report_every_second_once(self):
+        params = ModelParams.init(toy_model_config(), seed=3)
+        prompt_set = prompt_set_for(GameId.OW2)
+        rng = np.random.default_rng(5)
+        clips = [rng.normal(size=(2, 4, 4, 3)).astype(np.float32) for _ in range(7)]
+        log = LineRecorder()
+        progress = SessionProgress(len(clips), log)
+        preds = classify_session(clips, prompt_set, params, jobs=3, progress=progress)
+        assert progress.done == len(clips)
+        assert log.lines[-1].startswith("detect: 7/7 seconds, ")
+        assert preds == classify_session(clips, prompt_set, params)
+
+    def test_concurrent_calls_lose_no_count(self):
+        """More threads than cores, a 1 µs switch interval and a clock that
+        yields, with a line logged per call: a lost update, or a count read
+        after another thread's increment, would repeat or skip a count."""
+        threads, calls = 8, 1000
+        log = LineRecorder()
+
+        def yielding_clock():
+            time.sleep(0)
+            return time.monotonic()
+
+        progress = SessionProgress(threads * calls, log, interval_s=0.0, clock=yielding_clock)
+        barrier = threading.Barrier(threads, timeout=30)
+
+        def report():
+            barrier.wait()
+            for _ in range(calls):
+                progress()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=report) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        counts = [int(line.split()[1].split("/")[0]) for line in log.lines]
+        assert counts == list(range(1, threads * calls + 1))
 
 
 def _labels_counted_correct_when_every_logit_ties():

@@ -1,11 +1,13 @@
 """The last layer of each encoder computes only the rows its output reads.
 
 The video encoder keeps only the class tokens of its last CCT layer, and the
-text encoder only each prompt's EOS row of its last layer. Keys and values
-still cover every row, so the pruned encoders must match the unpruned
-float64 oracle to 1e-10 at any depth, their gradients must match finite
+text encoder only each prompt's EOS row of its last layer. Those rows attend
+over every row, so the pruned encoders must match the unpruned float64
+oracle to 1e-10 at any depth, their gradients must match finite
 differences, and calibration, which asks for every row, must record the
-same per-site maxima as a full unpruned pass.
+same per-site maxima as a full unpruned pass. Without a quantization context
+the pruned rows attend without projecting the keys and values at all
+(``layers._attend_absorbed``); under one, keys and values are materialized.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ import pytest
 
 import oracle
 from conftest import plain_f64
-from fragreel.autodiff import Tensor, log_softmax, no_grad, reshape
+from fragreel import layers
+from fragreel.autodiff import Tensor, log_softmax, no_grad, reshape, sum_
 from fragreel.catalogue import GameId
+from fragreel.detection import classify_second
+from fragreel.errors import ShapeMismatch
 from fragreel.layers import ffn, layer_norm, mhsa
 from fragreel.params import EncoderConfig, HeadConfig, ModelConfig, ModelParams, TextConfig
 from fragreel.quantize import ActRecorder, calibrate_activations
@@ -108,6 +113,99 @@ class TestPrunedMatchesOracle:
         batched = encode_text(ids, params).data
         for row, tokens in zip(batched, ids):
             np.testing.assert_allclose(row, encode_text(tokens, params).data, atol=1e-14)
+
+
+def assert_rows_close(got: np.ndarray, want: np.ndarray, rel: float = 1e-5) -> None:
+    """Each embedding within ``rel`` of the other, relative to its norm."""
+    err = np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
+    assert err.max() < rel, err.max()
+
+
+class TestKeyFreeAttention:
+    """A ``RowCounter`` context changes no value but forces the materialized
+    keys and values, so it serves as the reference form."""
+
+    def test_pruned_last_layers_project_no_keys_or_values(self, monkeypatch):
+        params = deep_params()
+        prefixes = []
+
+        def spy(x, params, prefix, qctx=None):
+            prefixes.append(prefix)
+            return linear(x, params, prefix, qctx)
+
+        linear = layers.linear
+        monkeypatch.setattr(layers, "linear", spy)
+        encode_video(random_clip(), params)
+        encode_text(np.array([tokenize(text) for text in PROMPTS]), params)
+        for last in ("video.cct.2.ifa", "text.layers.1.attn"):
+            assert f"{last}.q" in prefixes and f"{last}.out" in prefixes
+            assert f"{last}.k" not in prefixes and f"{last}.v" not in prefixes
+        for full in ("video.cct.1.ifa", "video.cct.2.cfa", "text.layers.0.attn"):
+            assert f"{full}.k" in prefixes and f"{full}.v" in prefixes
+
+    def test_float32_matches_the_materialized_form(self):
+        # one layer per encoder: GELU returns float64, so a second layer's
+        # attention would not run in float32
+        cfg = ModelConfig(
+            encoder=EncoderConfig(t_frames=4, side=16, patch=4, d_model=64, n_heads=4,
+                                  n_cct_layers=1, n_mit_layers=1, d_ffn=128),
+            text=TextConfig(d_text=64, n_heads=4, n_layers=1, d_ffn=128, prompt_heads=4),
+            head=HeadConfig(),
+        )
+        params = ModelParams.init(cfg, seed=3, dtype=np.float32)
+        ids = np.array([tokenize(text) for text in PROMPTS])
+        prompt_set = prompt_set_for(GameId.CSGO)
+        normed = Tensor(np.random.default_rng(9).normal(size=(4, 18, 64)).astype(np.float32))
+        with no_grad():
+            attended = mhsa(normed[:, :1], normed, params, "video.cct.0.ifa", 4)
+            assert attended.dtype == np.float32
+            assert_rows_close(attended.data, mhsa(normed[:, :1], normed, params,
+                                                  "video.cct.0.ifa", 4, RowCounter()).data)
+            text = encode_text(ids, params).data
+            assert_rows_close(text, encode_text(ids, params, RowCounter()).data)
+            for seed in range(4):
+                clip = np.random.default_rng(seed).uniform(-2, 2, size=(4, 16, 16, 3))
+                clip = clip.astype(np.float32)
+                v = encode_video(clip, params).data
+                assert_rows_close(v, encode_video(clip, params, RowCounter()).data)
+                key_free = classify_second(clip, prompt_set, params)
+                materialized = classify_second(clip, prompt_set, params, qctx=RowCounter())
+                assert key_free.label == materialized.label
+
+    @pytest.mark.parametrize("n_text", [1, 2])
+    def test_eos_at_the_last_position_matches_the_oracle(self, n_text):
+        text = "CSGO. kill. " + "x" * 63
+        assert len(text.encode()) == 75
+        tokens = np.array(tokenize(text))
+        assert tokens[76] == EOS
+        params = deep_params(n_text=n_text)
+        got = encode_text(tokens, params).data
+        want = oracle.o_encode_text(tokens, plain_f64(params), n_layers=n_text, n_heads=2)
+        np.testing.assert_allclose(got, want, atol=TOL)
+
+    def test_gradients_equal_the_materialized_form(self):
+        params = deep_params()
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(T_FRAMES, N_TOKENS + 1, 8))
+        prefix = "video.cct.0.ifa"
+        names = [f"{prefix}.{p}.{w}" for p in ("q", "k", "v", "out") for w in ("w", "b")]
+
+        def grads(qctx):
+            params.zero_grads()
+            normed = Tensor(x, requires_grad=True)
+            out = mhsa(normed[:, :1], normed, params, prefix, 2, qctx)
+            sum_(out * Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))).backward()
+            return [normed.grad] + [params[name].grad for name in names]
+
+        for got, want in zip(grads(None), grads(RowCounter())):
+            np.testing.assert_allclose(got, want, atol=TOL)
+
+    def test_key_value_width_mismatch_names_the_prefix(self):
+        params = deep_params()
+        query = Tensor(np.ones((T_FRAMES, 1, 8)))
+        key_value = Tensor(np.ones((T_FRAMES, N_TOKENS, 6)))
+        with pytest.raises(ShapeMismatch, match=r"video\.cct\.0\.ifa\.k: input width 6 != 8"):
+            mhsa(query, key_value, params, "video.cct.0.ifa", 2)
 
 
 class TestRowsComputed:
