@@ -99,12 +99,12 @@ def classify_second(clip, prompt_set, params, cache=None, qctx=None, second_inde
 class SessionProgress:
     """Logs a session's progress at INFO: seconds done of the total, the
     wall seconds per second of video and an ETA. It logs at most once per
-    ``interval_s`` of wall time, plus once when the last second is done.
+    ``PROGRESS_INTERVAL_S`` of wall time, plus once when the last second is
+    done.
     Workers call it once per classified second, from any thread."""
 
-    def __init__(self, total: int, log, interval_s: float = PROGRESS_INTERVAL_S,
-                 clock=time.monotonic):
-        self.total, self.log, self.interval_s, self.clock = total, log, interval_s, clock
+    def __init__(self, total: int, log, clock=time.monotonic):
+        self.total, self.log, self.clock = total, log, clock
         self.done = 0
         self.start = self.last = clock()
         self.lock = threading.Lock()
@@ -113,7 +113,7 @@ class SessionProgress:
         with self.lock:
             self.done += 1
             now = self.clock()
-            if self.done < self.total and now - self.last < self.interval_s:
+            if self.done < self.total and now - self.last < PROGRESS_INTERVAL_S:
                 return
             self.last = now
             per_second = (now - self.start) / self.done

@@ -1,5 +1,6 @@
 """Session inference: windowing, overlap scoring, and highlight cuts."""
 
+import itertools
 import json
 import sys
 import threading
@@ -13,6 +14,7 @@ from fragreel import training
 from fragreel.annotations import AnnotatedEvent
 from fragreel.catalogue import EventLabel, GameId
 from fragreel.detection import (
+    PROGRESS_INTERVAL_S,
     Cut,
     HighlightEdl,
     SecondPrediction,
@@ -299,7 +301,7 @@ class TestSessionProgress:
     def test_at_most_one_line_per_interval_plus_a_final_line(self):
         now = [100.0]
         log = LineRecorder()
-        progress = SessionProgress(10, log, interval_s=5.0, clock=lambda: now[0])
+        progress = SessionProgress(10, log, clock=lambda: now[0])
         for _ in range(10):
             now[0] += 2.0  # one second of video every 2 s of wall time
             progress()
@@ -324,16 +326,18 @@ class TestSessionProgress:
 
     def test_concurrent_calls_lose_no_count(self):
         """More threads than cores, a 1 µs switch interval and a clock that
-        yields, with a line logged per call: a lost update, or a count read
-        after another thread's increment, would repeat or skip a count."""
+        yields and steps a full interval per read, so every call logs a
+        line: a lost update, or a count read after another thread's
+        increment, would repeat or skip a count."""
         threads, calls = 8, 1000
         log = LineRecorder()
+        ticks = itertools.count()
 
-        def yielding_clock():
+        def stepping_clock():
             time.sleep(0)
-            return time.monotonic()
+            return next(ticks) * PROGRESS_INTERVAL_S
 
-        progress = SessionProgress(threads * calls, log, interval_s=0.0, clock=yielding_clock)
+        progress = SessionProgress(threads * calls, log, clock=stepping_clock)
         barrier = threading.Barrier(threads, timeout=30)
 
         def report():
