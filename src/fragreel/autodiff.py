@@ -22,13 +22,14 @@ from .errors import NonFiniteActivation
 _state = threading.local()
 
 
-def _grad_enabled() -> bool:
+def grad_enabled() -> bool:
+    """Whether operations on this thread record the graph for backward."""
     return getattr(_state, "grad_enabled", True)
 
 
 @contextmanager
 def no_grad():
-    previous = _grad_enabled()
+    previous = grad_enabled()
     _state.grad_enabled = False
     try:
         yield
@@ -148,7 +149,7 @@ def _const(value, like: Tensor) -> Tensor:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

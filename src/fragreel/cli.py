@@ -55,6 +55,7 @@ from .errors import (
     EmptyInput,
     FragreelError,
     MalformedJson,
+    UnknownLabel,
 )
 from .frames import ClipStore, cutter, decoder
 from .metrics import evaluation_report
@@ -87,11 +88,18 @@ def _read(path: str, parse):
 
 
 def _parse_targets(spec: str, game: GameId) -> set[EventLabel]:
+    """The events of ``--targets``; Background promotes no window, so at
+    least one other event must be named."""
     labels = set()
     for part in spec.split(","):
         part = part.strip()
         if part:
-            labels.add(parse_label(part, game))
+            try:
+                labels.add(parse_label(part, game))
+            except UnknownLabel as exc:
+                raise ConfigError(f"--targets: {exc}") from exc
+    if not labels - {EventLabel.BACKGROUND}:
+        raise ConfigError(f"--targets {spec!r} names no target event")
     return labels
 
 
@@ -136,6 +144,8 @@ def _session(args, run: RunConfig):
     or its dequantized copy, is freed. The fill runs in the first
     classification, so in a pool it overlaps the other workers' seconds.
     """
+    if args.seconds is not None and args.seconds < 1:
+        raise ConfigError(f"--seconds must be at least 1, got {args.seconds}")
     game = parse_game(args.game)
     params, qctx = _load_model(args.checkpoint, run)
     store = _store(run)
@@ -365,10 +375,10 @@ def cmd_highlight(args, run: RunConfig) -> int:
     if args.session_len is not None and not 0.0 < args.session_len < math.inf:  # also rejects NaN
         raise ConfigError(f"--session-len must be finite and positive, got {args.session_len}")
     game = parse_game(args.game)
+    targets = _parse_targets(args.targets, game)
     preds = _read_predictions(args.predictions)
     if not preds:
         raise EmptyInput(f"{args.predictions}: no predictions")
-    targets = _parse_targets(args.targets, game)
     session_len = args.session_len if args.session_len is not None else float(len(preds))
     decisions = slide_windows(preds, targets)
     edl = build_edl(decisions, session_len, source=args.video or "")

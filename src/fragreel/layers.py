@@ -8,7 +8,11 @@ inference visit identical sites.
 
 The context protocol is one method and one optional property:
 
-- ``process(site, data) -> data``: called once per site per forward pass.
+- ``process(site, data) -> data``: called once per site per tile of rows
+  (``over_tiles``), so once per forward pass where a block runs as one
+  tile. A context must give the same result for a tile as for those rows of
+  the whole; ``ActRecorder`` keeps a running max and ``ActQuant`` is
+  elementwise with a fixed scale, so both do.
 - ``needs_all_rows``: the last layer of each encoder normally computes only
   the rows its output reads (the class tokens, the EOS rows). A context
   that sets this true sees every row instead. Calibration sets it, because
@@ -25,6 +29,8 @@ float32 one differs from the materialized form by rounding only.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from . import autodiff
 from .autodiff import (
@@ -56,6 +62,33 @@ def qpass(qctx, site: str, t: Tensor) -> Tensor:
 def prunes_rows(qctx) -> bool:
     """Whether the encoders may skip rows that their output does not read."""
     return not getattr(qctx, "needs_all_rows", False)
+
+
+WHOLE = slice(None)  # the one tile that spans the leading axis
+
+
+def tile_of(x, s: slice):
+    """Rows ``s`` of the leading axis of ``x``; ``x`` itself for ``WHOLE``."""
+    return x if s is WHOLE else x[s]
+
+
+def over_tiles(fn, tiles) -> Tensor:
+    """``fn(s)`` for each tile ``s`` of a leading axis, as one tensor.
+
+    A single tile returns what ``fn`` made, with no copy. Several tiles are
+    written into one buffer as each finishes, so only one tile's
+    temporaries are alive at a time. The buffer carries no graph, so
+    several tiles are for ``no_grad`` only.
+    """
+    if len(tiles) == 1:
+        return fn(tiles[0])
+    out = None
+    for s in tiles:
+        part = fn(s).data
+        if out is None:
+            out = np.empty((tiles[-1].stop, *part.shape[1:]), dtype=part.dtype)
+        out[s] = part
+    return Tensor(out)
 
 
 def linear(x: Tensor, params, prefix: str, qctx=None) -> Tensor:
@@ -102,11 +135,18 @@ def _swap_last(t: Tensor) -> Tensor:
     return transpose(t, tuple(range(m - 2)) + (m - 1, m - 2))
 
 
-def mhsa(query: Tensor, key_value: Tensor, params, prefix: str, n_heads: int, qctx=None) -> Tensor:
+def mhsa(query: Tensor, key_value, params, prefix: str, n_heads: int, qctx=None,
+         tiles=(WHOLE,)) -> Tensor:
     """Multi-head attention; ``query is key_value`` gives self-attention.
 
     Accepts any number of leading batch dimensions as long as they broadcast
     under matmul. Scores scale by 1/sqrt(head width); softmax is over keys.
+
+    ``key_value`` may also be a function that makes the keys of one tile of
+    the leading axis, called once per slice in ``tiles``. Each tile's keys,
+    scores and weighted sums then live only while it runs, while the query
+    and output projections run once over every row, so the result does not
+    depend on the tiles.
 
     Without a context, queries that are a separate tensor with the same
     leading shape as the keys (a pruned subset of the key rows) take
@@ -117,22 +157,30 @@ def mhsa(query: Tensor, key_value: Tensor, params, prefix: str, n_heads: int, qc
     d = query.shape[-1]
     if d % n_heads != 0:
         raise ShapeMismatch(f"{prefix}: width {d} not divisible by {n_heads} heads")
-    if qctx is None and query is not key_value and query.shape[:-2] == key_value.shape[:-2]:
-        return _attend_absorbed(query, key_value, params, prefix, n_heads)
+    if callable(key_value):
+        keys, kv_lead = key_value, query.shape[:-2]
+    else:
+        keys, kv_lead = (lambda s: key_value), key_value.shape[:-2]
+    if qctx is None and query is not key_value and query.shape[:-2] == kv_lead:
+        return _attend_absorbed(query, keys, tiles, params, prefix, n_heads)
     q = _split_heads(linear(query, params, f"{prefix}.q", qctx), n_heads)
-    k = _split_heads(linear(key_value, params, f"{prefix}.k", qctx), n_heads)
-    v = _split_heads(linear(key_value, params, f"{prefix}.v", qctx), n_heads)
     scale = 1.0 / math.sqrt(d // n_heads)
-    scores = matmul(
-        qpass(qctx, f"{prefix}.qk:a", q),
-        qpass(qctx, f"{prefix}.qk:b", _swap_last(k)),
-    ) * scale
-    attn = softmax(scores)
-    ctx = matmul(
-        qpass(qctx, f"{prefix}.av:a", attn),
-        qpass(qctx, f"{prefix}.av:b", v),
-    )
-    return linear(_merge_heads(ctx), params, f"{prefix}.out", qctx)
+
+    def attend(s):
+        x = keys(s)
+        k = _split_heads(linear(x, params, f"{prefix}.k", qctx), n_heads)
+        v = _split_heads(linear(x, params, f"{prefix}.v", qctx), n_heads)
+        scores = matmul(
+            qpass(qctx, f"{prefix}.qk:a", tile_of(q, s)),
+            qpass(qctx, f"{prefix}.qk:b", _swap_last(k)),
+        ) * scale
+        attn = softmax(scores)
+        return matmul(
+            qpass(qctx, f"{prefix}.av:a", attn),
+            qpass(qctx, f"{prefix}.av:b", v),
+        )
+
+    return linear(_merge_heads(over_tiles(attend, tiles)), params, f"{prefix}.out", qctx)
 
 
 def _rows_by_batch(t: Tensor, batch: int, s_q: int) -> Tensor:
@@ -141,7 +189,7 @@ def _rows_by_batch(t: Tensor, batch: int, s_q: int) -> Tensor:
     return reshape(transpose(reshape(t, (h, batch, s_q, n)), (1, 0, 2, 3)), (batch, h * s_q, n))
 
 
-def _attend_absorbed(query: Tensor, key_value: Tensor, params, prefix: str, n_heads: int) -> Tensor:
+def _attend_absorbed(query: Tensor, keys, tiles, params, prefix: str, n_heads: int) -> Tensor:
     """Attention of a few query rows over x without computing x W_k or x W_v.
 
     Per head, q·(x W_k + b_k) = (q W_kᵀ)·x + q·b_k, and since each row of
@@ -151,27 +199,34 @@ def _attend_absorbed(query: Tensor, key_value: Tensor, params, prefix: str, n_he
     in the scores so that ``{prefix}.k.b`` keeps its (zero) gradient.
 
     Heads go in front and the batch rows are folded together, so each weight
-    product is one batched gemm whose gradient needs no broadcast sum.
+    product is one batched gemm whose gradient needs no broadcast sum. Only
+    the scores and attn·x need the keys ``keys(s)`` of each tile ``s``; the
+    weight products run once over every query row.
     """
     *lead, s_q, d = query.shape
-    s, d_kv = key_value.shape[-2:]
     w_k, w_v = params[f"{prefix}.k.w"], params[f"{prefix}.v.w"]
-    for name, w in (("k", w_k), ("v", w_v)):
-        if d_kv != w.shape[0]:
-            raise ShapeMismatch(f"{prefix}.{name}: input width {d_kv} != {w.shape[0]}")
+    d_kv = w_k.shape[0]
     h, dh = n_heads, d // n_heads
     batch = math.prod(lead)
     rows = batch * s_q
-    x = reshape(key_value, (batch, s, d_kv))
     q = linear(reshape(query, (rows, d)), params, f"{prefix}.q")
     q = transpose(reshape(q, (rows, h, dh)), (1, 0, 2))  # (H, rows, dh)
 
     u = matmul(q, transpose(reshape(w_k, (d_kv, h, dh)), (1, 2, 0)))  # q W_kᵀ, (H, rows, d_kv)
     q_b = matmul(q, reshape(params[f"{prefix}.k.b"], (h, dh, 1)))  # q·b_k, (H, rows, 1)
-    scores = matmul(_rows_by_batch(u, batch, s_q), _swap_last(x)) + _rows_by_batch(q_b, batch, s_q)
-    attn = softmax(scores * (1.0 / math.sqrt(dh)))  # (batch, H*s_q, S)
+    u, q_b = _rows_by_batch(u, batch, s_q), _rows_by_batch(q_b, batch, s_q)
 
-    y = matmul(attn, x)  # attn·x, (batch, H*s_q, d_kv)
+    def attend(s):
+        x = keys(s)
+        for name, w in (("k", w_k), ("v", w_v)):
+            if x.shape[-1] != w.shape[0]:
+                raise ShapeMismatch(f"{prefix}.{name}: input width {x.shape[-1]} != {w.shape[0]}")
+        x = reshape(x, (-1, *x.shape[-2:]))  # (batch rows of the tile, S, d_kv)
+        scores = matmul(tile_of(u, s), _swap_last(x)) + tile_of(q_b, s)
+        attn = softmax(scores * (1.0 / math.sqrt(dh)))  # (batch, H*s_q, S)
+        return matmul(attn, x)  # attn·x, (batch, H*s_q, d_kv)
+
+    y = over_tiles(attend, tiles)
     y = reshape(transpose(reshape(y, (batch, h, s_q, d_kv)), (1, 0, 2, 3)), (h, rows, d_kv))
     ctx = matmul(y, transpose(reshape(w_v, (d_kv, h, dh)), (1, 0, 2)))  # (H, rows, dh)
     ctx = ctx + reshape(params[f"{prefix}.v.b"], (h, 1, dh))

@@ -27,10 +27,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, assert_finite, concat, matmul, mean, reshape
+from .autodiff import Tensor, assert_finite, concat, grad_enabled, matmul, mean, reshape
 from .errors import ShapeMismatch
-from .layers import block, ffn, layer_norm, linear, mhsa, prunes_rows, qpass
+from .layers import (
+    WHOLE,
+    block,
+    ffn,
+    layer_norm,
+    linear,
+    mhsa,
+    over_tiles,
+    prunes_rows,
+    qpass,
+    tile_of,
+)
 from .params import EncoderConfig, ModelParams
+
+TILE_FRAMES = 4  # frames per tile of per-frame work under no_grad
 
 
 def extract_patches(frames: np.ndarray, patch: int) -> np.ndarray:
@@ -62,6 +75,18 @@ def embed_frames(patches: Tensor | np.ndarray, params: ModelParams, cfg: Encoder
     return z + params["video.pos"]
 
 
+def frame_tiles(t: int) -> list[slice]:
+    """The tiles of frames that the per-frame work of ``t`` frames runs over.
+
+    Under ``no_grad`` each tile's temporaries are freed before the next tile
+    runs. Under gradients the graph keeps every activation for backward, so
+    one tile spans the clip and training builds the graph it always has.
+    """
+    if grad_enabled() or t <= TILE_FRAMES:
+        return [WHOLE]
+    return [slice(i, min(i + TILE_FRAMES, t)) for i in range(0, t, TILE_FRAMES)]
+
+
 def cct_layer(z: Tensor, params: ModelParams, cfg: EncoderConfig, index: int, qctx=None,
               cls_only: bool = False) -> Tensor:
     """One cross-frame communication layer over (T, N+1, d).
@@ -75,20 +100,37 @@ def cct_layer(z: Tensor, params: ModelParams, cfg: EncoderConfig, index: int, qc
     msgs = linear(z[:, 0], params, f"{pf}.msg", qctx)  # (T, d)
     normed_msgs = layer_norm(msgs, params, f"{pf}.ln_msg")
     msgs = msgs + mhsa(normed_msgs, normed_msgs, params, f"{pf}.cfa", cfg.n_heads, qctx)
+    msgs = reshape(msgs, (t, 1, cfg.d_model))
+    tiles = frame_tiles(t)
 
-    tokens = concat([z, reshape(msgs, (t, 1, cfg.d_model))], axis=1)  # (T, N+2, d)
-    normed = layer_norm(tokens, params, f"{pf}.ln_attn")
-    if cls_only:
-        frame_tokens = tokens[:, :1] + mhsa(
-            normed[:, :1], normed, params, f"{pf}.ifa", cfg.n_heads, qctx
-        )
+    def tokens(s):  # the tile's frame tokens and message tokens, (tile, N+2, d)
+        return concat([tile_of(z, s), tile_of(msgs, s)], axis=1)
+
+    def with_ffn(x):
+        return x + ffn(layer_norm(x, params, f"{pf}.ln_ffn"), params, f"{pf}.ffn", qctx)
+
+    if not cls_only:
+        def frames(s):
+            x = tokens(s)
+            normed = layer_norm(x, params, f"{pf}.ln_attn")
+            attended = x + mhsa(normed, normed, params, f"{pf}.ifa", cfg.n_heads, qctx)
+            return with_ffn(attended[:, : cfg.n_patches + 1])  # attended message token dropped
+
+        return over_tiles(frames, tiles)
+
+    if len(tiles) == 1:
+        x = tokens(WHOLE)
+        normed = layer_norm(x, params, f"{pf}.ln_attn")
+        residual, query, keys = x[:, :1], normed[:, :1], normed
     else:
-        attended = tokens + mhsa(normed, normed, params, f"{pf}.ifa", cfg.n_heads, qctx)
-        frame_tokens = attended[:, : cfg.n_patches + 1]  # attended message token dropped
+        # the class rows are normed on their own, so a tile's keys live only while it runs
+        residual = z[:, :1]
+        query = layer_norm(residual, params, f"{pf}.ln_attn")
 
-    return frame_tokens + ffn(
-        layer_norm(frame_tokens, params, f"{pf}.ln_ffn"), params, f"{pf}.ffn", qctx
-    )
+        def keys(s):
+            return layer_norm(tokens(s), params, f"{pf}.ln_attn")
+
+    return with_ffn(residual + mhsa(query, keys, params, f"{pf}.ifa", cfg.n_heads, qctx, tiles))
 
 
 def mit_pool(h: Tensor, params: ModelParams, cfg: EncoderConfig, qctx=None) -> Tensor:
@@ -109,10 +151,12 @@ def encode_video(clip, params: ModelParams, qctx=None) -> Tensor:
     if data.shape != expected:
         raise ShapeMismatch(f"clip shape {data.shape} != {expected}")
     dtype = params["video.patch_proj"].dtype
-    patches = extract_patches(data.astype(dtype, copy=False), cfg.patch)
 
-    z = embed_frames(patches, params, cfg, qctx)
-    del patches  # z holds what the layers need; the patch copy is not kept through them
+    def embed(s):  # a tile's patch copy is freed once its rows of z are written
+        patches = extract_patches(tile_of(data, s).astype(dtype, copy=False), cfg.patch)
+        return embed_frames(patches, params, cfg, qctx)
+
+    z = over_tiles(embed, frame_tiles(cfg.t_frames))
     pruned = cfg.n_cct_layers - 1 if prunes_rows(qctx) else -1  # -1: no layer is pruned
     for i in range(cfg.n_cct_layers):
         z = cct_layer(z, params, cfg, i, qctx, cls_only=i == pruned)

@@ -13,6 +13,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,17 @@ def cli_peak_rss_mb(argv, tmp_path) -> float:
     subprocess.run([sys.executable, "-c", _OWN_PEAK_RSS, str(out), *(str(a) for a in argv)],
                    env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
     return int(out.read_text()) / 1024
+
+
+def tracemalloc_peak(fn):
+    """``fn()``'s result and the peak bytes that ``tracemalloc`` traced
+    while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def plain_f64(params: ModelParams) -> dict[str, np.ndarray]:

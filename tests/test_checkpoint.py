@@ -5,12 +5,11 @@ from __future__ import annotations
 import mmap
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import rewrite_header, toy_model_config
+from conftest import rewrite_header, toy_model_config, tracemalloc_peak
 from fragreel import checkpoint
 from fragreel.checkpoint import (
     MAGIC_FP32,
@@ -453,12 +452,7 @@ def test_load_peak_memory_is_under_the_file(tmp_path):
     path = tmp_path / "m.xckp"
     save_checkpoint(path, ModelParams.init(SMALL_CONFIG, seed=0), epoch=0, val_accuracy=None)
     size = path.stat().st_size
-    tracemalloc.start()
-    try:
-        loaded, _ = load_checkpoint(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (loaded, _), peak = tracemalloc_peak(lambda: load_checkpoint(path))
     assert sum(loaded[name].data.nbytes for name in loaded.names()) > 0.99 * size
     assert peak < 1.1 * size
 
@@ -472,12 +466,7 @@ def test_save_peak_memory_is_one_tensor_and_the_header(tmp_path, dtype):
     params = ModelParams.init(SMALL_CONFIG, seed=0, dtype=dtype)
     largest = 4 * max(t.data.size for t in params.tensors.values())  # as float32
     path = tmp_path / "m.xckp"
-    tracemalloc.start()
-    try:
-        save_checkpoint(path, params, epoch=0, val_accuracy=None)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = tracemalloc_peak(lambda: save_checkpoint(path, params, epoch=0, val_accuracy=None))
     size = path.stat().st_size
     header = size - payload_bytes(path, MAGIC_FP32)
     assert size > 30 * largest  # a whole-model copy would not fit under the bound

@@ -802,14 +802,70 @@ class TestExitCodes:
         assert re.search(f"{re.escape(str(ckpt))}: {message}", capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
-    def test_zero_second_session_is_data_error(self, env, tmp_path):
+    def test_zero_second_session_is_data_error(self, env, tmp_path, capsys):
+        # one frame at 2 fps: half a second, so no whole second to classify
+        game_dir = tmp_path / "data" / GAME
+        game_dir.mkdir(parents=True)
+        frames = np.zeros((1, 6, 6, 3), dtype=np.uint8)
+        (game_dir / "half.rgbc").write_bytes(write_rgbc(RawClip(frames=frames, fps=Fraction(2))))
         rc = run_cli([
-            "detect", "--config", env["config"],
+            "detect", "--config", env["config"], "--data-root", tmp_path / "data",
             "--checkpoint", env["artifacts"]["checkpoint"],
-            "--game", GAME, "--video", "bravo.rgbc", "--seconds", 0,
-            "--out", tmp_path / "x",
+            "--game", GAME, "--video", "half.rgbc", "--out", tmp_path / "x",
         ])
         assert rc == 3
+        assert "half.rgbc: no whole second to classify" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("seconds", [0, -1])
+    @pytest.mark.parametrize("command", ["detect", "bench"])
+    def test_seconds_below_one_is_config_error_before_the_checkpoint_loads(
+            self, env, tmp_path, capsys, monkeypatch, command, seconds):
+        def no_load(path):
+            raise AssertionError("the checkpoint was loaded")
+
+        monkeypatch.setattr(cli, "load_model", no_load)
+        rc = run_cli([
+            command, "--config", env["config"], "--checkpoint", env["artifacts"]["checkpoint"],
+            "--game", GAME, "--video", "bravo.rgbc", "--seconds", seconds,
+            "--out", tmp_path / "x",
+        ])
+        assert rc == 2
+        assert f"--seconds must be at least 1, got {seconds}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("targets, label", [("Kill,Nope", "Nope"), ("PowerUse", "PowerUse")],
+                             ids=["unknown", "other_game"])
+    def test_target_not_valid_for_the_game_is_config_error_before_any_write(
+            self, env, tmp_path, capsys, targets, label):
+        cut_dir = tmp_path / "cuts"
+        config = dict(json.loads(env["config"].read_text()),
+                      cutter=f"{sys.executable} -c pass {{input}} {{start}} {{dur}} {{output}}")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = run_cli([
+            "highlight", "--config", cfg_path, "--predictions", env["artifacts"]["predictions"],
+            "--game", GAME, "--targets", targets, "--cut-dir", cut_dir,
+            "--out", tmp_path / "h.json",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--targets: label {label!r} is not valid for game 'CSGO'" in err
+        assert not (tmp_path / "h.json").exists()
+        assert not cut_dir.exists()
+
+    @pytest.mark.parametrize("targets", ["", " , ", "Background", "background,Background"],
+                             ids=["empty", "blank", "background", "background_twice"])
+    def test_targets_without_a_target_event_are_config_error(self, env, tmp_path, capsys,
+                                                             targets):
+        rc = run_cli([
+            "highlight", "--config", env["config"],
+            "--predictions", env["artifacts"]["predictions"],
+            "--game", GAME, "--targets", targets, "--out", tmp_path / "h.json",
+        ])
+        assert rc == 2
+        assert f"--targets {targets!r} names no target event" in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
 
     @pytest.mark.parametrize("bad_line", [
         "{not json",

@@ -8,7 +8,6 @@ import struct
 import sys
 import threading
 import time
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracle
+from conftest import tracemalloc_peak
 from fragreel import frames
 from fragreel.annotations import ClipRef
 from fragreel.catalogue import EventLabel, GameId
@@ -314,12 +314,7 @@ class TestPreprocessExactness:
             fh.truncate(24 + 30 * 1080 * 1920 * 3)
         store = ClipStore(data_root=tmp_path, preprocess=PreprocessConfig())
         clip_at = store.clips(GameId.CSGO, "big")
-        tracemalloc.start()
-        try:
-            clip = clip_at(0.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        clip, peak = tracemalloc_peak(lambda: clip_at(0.0))
         assert clip.shape == (32, 224, 224, 3)
         zero = normalize(np.zeros((224, 224, 3), np.uint8))
         np.testing.assert_array_equal(clip, np.broadcast_to(zero, clip.shape))
@@ -392,14 +387,13 @@ class TestClipStore:
             fh.write(b"RGBC" + struct.pack("<5I", 128, 128, 1360, 30, 1))
             fh.truncate(24 + 1360 * 128 * 128 * 3)
         store = self.store(tmp_path)
-        tracemalloc.start()
-        try:
+
+        def read_both_ends():
             duration = store.duration(GameId.CSGO, "big")
             clip_at = store.clips(GameId.CSGO, "big")
-            first, last = clip_at(0.0), clip_at(duration - 1.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return duration, clip_at(0.0), clip_at(duration - 1.0)
+
+        (duration, first, last), peak = tracemalloc_peak(read_both_ends)
         zeros = preprocess_clip(RawClip(np.zeros((30, 128, 128, 3), np.uint8), Fraction(30)),
                                 store.preprocess)
         assert duration == 1360 / 30
@@ -556,12 +550,7 @@ class TestDecoderSource:
         pid = tmp_path / "decoder.pid"
         script = stream_script(pid, frames=30, written=30, height=1080, width=1920, fps=30)
         clip_at = self.store(tmp_path, script, PreprocessConfig()).clips(GameId.CSGO, "v.mp4")
-        tracemalloc.start()
-        try:
-            clip = clip_at(0.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        clip, peak = tracemalloc_peak(lambda: clip_at(0.0))
         assert clip.shape == (32, 224, 224, 3)
         zero = normalize(np.zeros((224, 224, 3), np.uint8))
         np.testing.assert_array_equal(clip, np.broadcast_to(zero, clip.shape))

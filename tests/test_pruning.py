@@ -63,13 +63,15 @@ PROMPTS = ("CSGO. kill.", "a", "OW2. power use. an ultimate ability lights up th
 
 
 class RowCounter:
-    """A quantization context that records how many rows each site sees."""
+    """A quantization context that records how many rows each site sees,
+    summed over its calls: the video encoder's per-frame sites see one call
+    per tile of frames."""
 
     def __init__(self):
         self.rows: dict[str, int] = {}
 
     def process(self, site: str, data: np.ndarray) -> np.ndarray:
-        self.rows[site] = int(np.prod(data.shape[:-1]))
+        self.rows[site] = self.rows.get(site, 0) + int(np.prod(data.shape[:-1]))
         return data
 
 

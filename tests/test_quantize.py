@@ -163,7 +163,7 @@ class TestCalibration:
         process = ActRecorder.process
 
         def spy(self, site, data):
-            grad_seen.add(autodiff._grad_enabled())
+            grad_seen.add(autodiff.grad_enabled())
             return process(self, site, data)
 
         monkeypatch.setattr(ActRecorder, "process", spy)

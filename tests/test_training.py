@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import OVERFIT_TRAIN, overfit_clips, toy_model_config
+from conftest import OVERFIT_TRAIN, overfit_clips, toy_model_config, tracemalloc_peak
 
 from fragreel import seeds, training
 from fragreel.autodiff import no_grad
@@ -218,12 +218,8 @@ class TestTrainingMemory:
             tracemalloc.stop()
 
         params = ModelParams.init(cfg, seed=7)
-        tracemalloc.start()
-        try:
-            train(examples, [], params, TrainConfig(epochs=1, batch_size=1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = tracemalloc_peak(
+            lambda: train(examples, [], params, TrainConfig(epochs=1, batch_size=1)))
         assert graph > 10e6
         assert peak <= 1.3 * graph, f"peak {peak / 1e6:.1f} MB, graph {graph / 1e6:.1f} MB"
 
