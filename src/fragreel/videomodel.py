@@ -19,6 +19,16 @@ just those rows (unless the quantization context needs every row; see
 exact. Without a context they do so without projecting any token's key or
 value (``layers.mhsa``), which removes the largest cost of that layer.
 
+Only cross-frame attention mixes frames. So under ``no_grad`` the per-frame
+work runs over tiles of ``TILE_FRAMES`` frames, each tile's temporaries
+freed before the next: the patch embedding, each full layer's token concat,
+intra-frame attention and feed-forward block, and the pruned layer's keys,
+scores and attn·x. The tiles are written into one buffer. The messages and
+every product on the T class rows run once over the clip, so the output
+does not depend on the tiles, to the bit. A clip of at most one tile, and
+any forward under gradients, runs as one tile: training builds the graph it
+always has.
+
 Setting every attention and feed-forward output projection to zero turns
 each layer into the identity on frame tokens, which tests rely on.
 """
@@ -118,7 +128,7 @@ def cct_layer(z: Tensor, params: ModelParams, cfg: EncoderConfig, index: int, qc
 
         return over_tiles(frames, tiles)
 
-    if len(tiles) == 1:
+    if len(tiles) == 1:  # the graph training differentiates: queries read from the whole norm
         x = tokens(WHOLE)
         normed = layer_norm(x, params, f"{pf}.ln_attn")
         residual, query, keys = x[:, :1], normed[:, :1], normed
