@@ -103,6 +103,15 @@ def _parse_targets(spec: str, game: GameId) -> set[EventLabel]:
     return labels
 
 
+def _parse_game(text: str) -> GameId:
+    """The game of ``--game``; an unknown name is a command-line mistake."""
+    try:
+        return parse_game(text)
+    except UnknownLabel as exc:
+        names = ", ".join(game.value for game in GameId)
+        raise ConfigError(f"--game {text!r} is not one of {names}") from exc
+
+
 class SessionClips:
     """Whole-second clips of one video, preprocessed on demand."""
 
@@ -146,7 +155,7 @@ def _session(args, run: RunConfig):
     """
     if args.seconds is not None and args.seconds < 1:
         raise ConfigError(f"--seconds must be at least 1, got {args.seconds}")
-    game = parse_game(args.game)
+    game = _parse_game(args.game)
     params, qctx = _load_model(args.checkpoint, run)
     store = _store(run)
     duration = store.duration(game, args.video)
@@ -159,7 +168,7 @@ def _session(args, run: RunConfig):
 
 
 def cmd_sample_background(args, run: RunConfig) -> int:
-    game = parse_game(args.game)
+    game = _parse_game(args.game)
     store = _store(run)
     files: dict[str, tuple[float, list]] = {}
     for video in store.videos(game):
@@ -374,7 +383,7 @@ def cmd_highlight(args, run: RunConfig) -> int:
         raise ConfigError("--cut-dir needs a `cutter` command in the run config")
     if args.session_len is not None and not 0.0 < args.session_len < math.inf:  # also rejects NaN
         raise ConfigError(f"--session-len must be finite and positive, got {args.session_len}")
-    game = parse_game(args.game)
+    game = _parse_game(args.game)
     targets = _parse_targets(args.targets, game)
     preds = _read_predictions(args.predictions)
     if not preds:
@@ -429,7 +438,7 @@ def cmd_bench(args, run: RunConfig) -> int:
 
 def cmd_print_prompts(args, run: RunConfig) -> int:
     catalogue = load_catalogue(run.catalogue)
-    games = [parse_game(args.game)] if args.game else sorted(catalogue, key=lambda g: g.value)
+    games = [_parse_game(args.game)] if args.game else sorted(catalogue, key=lambda g: g.value)
     for game in games:
         prompt_set = prompt_set_for(game, catalogue)
         for prompt in prompt_set.prompts:

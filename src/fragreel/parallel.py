@@ -31,7 +31,8 @@ def _openblas():
 
     Symbols resolve through numpy's own extension module: dlsym also
     searches its dependencies, so this finds numpy's BLAS and not another
-    copy loaded into the process (scipy bundles its own).
+    copy loaded into the process, such as the one scipy bundles, which a
+    caller may import although fragreel does not.
     """
     try:
         from numpy._core import _multiarray_umath as umath

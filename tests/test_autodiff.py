@@ -7,6 +7,9 @@ match (f(x+h) - f(x-h)) / 2h in float64.
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import oracle
 import pytest
@@ -19,6 +22,7 @@ from fragreel.autodiff import (
     assert_finite,
     clip,
     concat,
+    erf,
     gelu,
     layernorm,
     linear,
@@ -289,6 +293,46 @@ class TestFreshArrayFormulas:
         want = oracle.o_gelu_fresh(x)
         assert got.dtype == want.dtype == np.float64  # float32 in, float64 out
         assert got.tobytes() == want.tobytes()
+
+
+class TestErf:
+    """GELU's numpy erf against the C library's ``math.erf``."""
+
+    def test_within_half_an_ulp_of_one_on_a_dense_grid(self):
+        x = np.linspace(-8.0, 8.0, 320_001)
+        want = np.array([math.erf(v) for v in x])
+        assert np.abs(erf(x) - want).max() <= 4.5e-16
+
+    def test_edges(self):
+        tiny = np.array([5e-324, 1e-310, 2.2250738585072014e-308])  # subnormals and the least normal
+        x = np.array([0.0, 1.0, 6.0, 1e300, np.inf, *tiny])
+        got = erf(np.concatenate([x, -x, [np.nan]]))
+        want = np.array([math.erf(v) for v in x])
+        np.testing.assert_array_max_ulp(got[: x.size], want, maxulp=1)
+        np.testing.assert_array_max_ulp(got[x.size : -1], -want, maxulp=1)
+        assert np.isnan(got[-1])
+        assert not np.signbit(got[0]) and np.signbit(got[x.size])  # erf(-0.0) is -0.0
+        assert got[2] == got[3] == got[4] == 1.0
+
+    def test_raises_no_warning_at_any_float(self):
+        x = np.array([0.0, -0.0, 5e-324, 1.0, 6.0, 27.0, 1e154, 1e300, np.finfo(float).max,
+                      np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 2, 300):  # both kernels
+                erf(np.tile(x, n))
+
+    def test_bitwise_odd(self):
+        x = np.random.default_rng(3).normal(size=20_000) * 3
+        assert erf(-x).tobytes() == (-erf(x)).tobytes()
+
+    def test_slices_give_the_same_bits(self):
+        x = np.random.default_rng(4).normal(size=20_000) * 2
+        whole = erf(x)
+        cuts = [0, 1, 257, 513, 8_450, 16_900, 20_000]  # across both kernels and the chunks
+        parts = np.concatenate([erf(x[a:b]) for a, b in zip(cuts, cuts[1:])])
+        assert parts.tobytes() == whole.tobytes()
+        assert erf(x.reshape(100, 200)).tobytes() == whole.tobytes()
 
 
 class TestSoftmaxValues:

@@ -283,33 +283,53 @@ class TestProgress:
             assert preds.read_bytes() == env["artifacts"]["predictions"].read_bytes()
 
 
-class TestModelFreeCommands:
-    def test_import_and_model_free_commands_leave_scipy_unloaded(self, env, tmp_path):
-        """scipy (for GELU's erf) loads only when a model first runs."""
-        art = env["artifacts"]
+class TestNoScipy:
+    def test_no_command_imports_scipy(self, env, tmp_path):
+        """Every command runs the toy pipeline in a process where importing
+        scipy raises, and writes the bytes it writes with scipy importable."""
+        cfg, art = env["config"], env["artifacts"]
+        o = {name: tmp_path / path.name for name, path in art.items()}
         commands = [
-            ["sample-background", "--config", env["config"], "--game", GAME,
-             "--out", tmp_path / "bg.json"],
-            ["build-manifest", "--config", env["config"], "--annotations", env["events"],
-             "--backgrounds", tmp_path / "bg.json", "--out", tmp_path / "m.json"],
-            ["highlight", "--config", env["config"], "--predictions", art["predictions"],
+            ["sample-background", "--config", cfg, "--game", GAME, "--out", o["backgrounds"]],
+            ["build-manifest", "--config", cfg, "--annotations", env["events"],
+             "--backgrounds", o["backgrounds"], "--out", o["manifest"]],
+            ["train", "--config", cfg, "--manifest", o["manifest"],
+             "--checkpoint", o["checkpoint"], "--history", o["history"]],
+            ["eval", "--config", cfg, "--manifest", o["manifest"],
+             "--checkpoint", o["checkpoint"], "--split", "all", "--out", o["report"]],
+            ["quantize", "--config", cfg, "--checkpoint", o["checkpoint"],
+             "--manifest", o["manifest"], "--out", o["quantized"]],
+            ["detect", "--config", cfg, "--checkpoint", o["checkpoint"], "--game", GAME,
+             "--video", "alpha.rgbc", "--seconds", 8, "--out", o["predictions"]],
+            ["bench", "--config", cfg, "--checkpoint", o["quantized"], "--game", GAME,
+             "--video", "bravo.rgbc", "--seconds", 2, "--out", tmp_path / "bench.json"],
+            ["highlight", "--config", cfg, "--predictions", o["predictions"],
              "--game", GAME, "--video", "alpha.rgbc", "--targets", "Kill,Death",
-             "--session-len", 8, "--out", tmp_path / "h.json"],
+             "--session-len", 8, "--out", o["highlights"]],
+            ["print-prompts", "--config", cfg, "--game", GAME],
         ]
         script = (
             "import json, sys\n"
+            "tried = []\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            tried.append(name)\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
             "from fragreel.cli import main\n"
-            "assert 'scipy' not in sys.modules, 'import fragreel.cli'\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0, argv[0]\n"
-            "    assert 'scipy' not in sys.modules, argv[0]\n"
+            "    assert not tried, (argv[0], tried)\n"
         )
         src = str(Path(fragreel.__file__).parents[1])
         subprocess.run(
             [sys.executable, "-c", script, json.dumps([[str(a) for a in c] for c in commands])],
-            env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src), check=True, timeout=300,
+            stdout=subprocess.DEVNULL,
         )
-        assert (tmp_path / "h.json").read_bytes() == art["highlights"].read_bytes()
+        for name, path in art.items():
+            assert o[name].read_bytes() == path.read_bytes(), name
 
 
 class TestFlags:
@@ -695,12 +715,21 @@ class TestExitCodes:
         ])
         assert rc == 2
 
-    def test_unknown_game_is_data_error(self, env, tmp_path):
-        rc = run_cli([
-            "sample-background", "--config", env["config"], "--game", "Tetris",
-            "--out", tmp_path / "x.json",
-        ])
-        assert rc == 3
+    @pytest.mark.parametrize("command", ["sample-background", "detect", "highlight",
+                                         "print-prompts"])
+    def test_unknown_game_is_config_error(self, env, tmp_path, capsys, command):
+        args = {
+            "sample-background": ["--out", tmp_path / "x.json"],
+            "detect": ["--checkpoint", tmp_path / "absent.xckp", "--video", "alpha.rgbc",
+                       "--out", tmp_path / "x.jsonl"],
+            "highlight": ["--predictions", env["artifacts"]["predictions"],
+                          "--video", "alpha.rgbc", "--out", tmp_path / "x.json"],
+            "print-prompts": [],
+        }[command]
+        rc = run_cli([command, "--config", env["config"], "--game", "Tetris", *args])
+        assert rc == 2
+        assert "--game 'Tetris'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_video_is_data_error(self, env, tmp_path):
         rc = run_cli([
