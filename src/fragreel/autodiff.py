@@ -362,110 +362,81 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 # Math. Comp. 23, 1969): x T(x²)/U(x²) for |x| <= 1 and 1 - exp(-x²) P(|x|)/Q(|x|)
 # above. Coefficients run from the highest power down; U and Q are monic.
 # Past |x| = 6, 1 - erf(|x|) is under half an ulp of 1, so |x| is clamped
-# there, which also keeps x² finite. The constants are 0-d arrays, which a
-# numpy call takes in fewer steps than Python floats.
-_ONE, _HALF = np.array(1.0), np.array(0.5)
+# there, which also keeps x² finite.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+# Each region's two polynomials run in one Horner pass over two rows, which
+# halves the numpy calls: row k of a table holds the k-th coefficients from
+# the top, T padded with a leading zero (0 v + c0 is c0 exactly).
+_ERF_TU = np.array([(0.0,) + _ERF_T, _ERF_U]).T[:, :, None]
+_ERF_PQ = np.array([_ERF_P, _ERF_Q]).T[:, :, None]
+# A vector runs in _ERF_SPLITS equal chunks, but in none shorter than
+# _ERF_MIN elements (unless the vector is) or longer than _ERF_MAX. A chunk
+# makes about 50 numpy calls and each takes the GIL back, which costs most
+# when two threads run GELUs at once, so a call makes few chunks; a chunk
+# of at most _ERF_MAX (512 KB per float64 array) stays in cache; and between
+# the two limits erf's scratch is a fixed share of the vector.
+_ERF_SPLITS, _ERF_MIN, _ERF_MAX = 8, 8192, 65536
 
 
-def _consts(*values) -> tuple[np.ndarray, ...]:
-    return tuple(np.array(v) for v in values)
-
-
-_ERF_T = _consts(9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-                 7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = _consts(1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-                 2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERF_P = _consts(2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-                 4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-                 9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERF_Q = _consts(1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-                 9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-                 1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERF_CLAMP = np.array(6.0)
-# Vectors run in chunks of _ERF_CHUNK that stay in cache: T and U over the
-# chunk, P and Q over its elements past |x| = 1. A chunk of up to
-# _ERF_NARROW elements with some past 1 instead runs all four polynomials in
-# one Horner pass over interleaved rows, which takes fewer numpy calls. Both
-# run the same operations on each element, so they give the same bits.
-_ERF_NARROW = 256
-_ERF_CHUNK = 8192
-# row k holds the k-th coefficients from the top of T, P, U and Q, the
-# shorter two padded with leading zeros, repeated for _ERF_NARROW elements
-_ERF_TABLE = np.tile(
-    np.array([(0.0,) * 4 + _ERF_T, _ERF_P, (0.0,) * 3 + _ERF_U, _ERF_Q]).T, _ERF_NARROW
-)
-
-
-def _horner(v: np.ndarray, coefs, out=None) -> np.ndarray:
-    """The polynomial with ``coefs`` (highest power first) at each of ``v``;
-    a leading 1.0 adds v instead of multiplying by 1, to the same bits."""
-    if coefs[0] == _ONE:
-        y = np.add(v, coefs[1], out=out)
-    else:
-        y = np.multiply(v, coefs[0], out=out)
-        y += coefs[1]
+def _horner2(v: np.ndarray, coefs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row k of ``y`` (shape (2, v.size)) gets the polynomial with the
+    coefficients ``coefs[:, k]`` at each of ``v``."""
+    np.multiply(coefs[0], v, out=y)
+    y += coefs[1]
     for c in coefs[2:]:
         y *= v
         y += c
     return y
 
 
-def _erf_narrow(a: np.ndarray, beyond: np.ndarray, out: np.ndarray) -> None:
-    n = a.size
-    w = np.empty((n, 4))  # per element: a², a, a², a, the variables of T, P, U, Q
-    w[:, 1] = a
-    np.multiply(a, a, out=w[:, 0])
-    pairs = w.view(np.complex128)  # copies (a², a) as one 16-byte item
-    pairs[:, 1] = pairs[:, 0]
-    table, flat = _ERF_TABLE[:, : 4 * n], w.reshape(-1)
-    y = table[0] * flat
-    y += table[1]
-    for c in table[2:]:
-        y *= flat
-        y += c
-    y = y.reshape(n, 4)
-    e = w[:, 2]
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    inner, outer = y[:, 0], y[:, 1]
-    inner *= a
-    inner /= y[:, 2]
-    outer *= e
-    outer /= y[:, 3]
-    np.subtract(_ONE, outer, out=outer)
-    np.copyto(inner, outer, where=beyond)
-    out[...] = inner
-
-
-def _erf_wide(a: np.ndarray, past: np.ndarray, out: np.ndarray) -> None:
+def _erf_chunk(t: np.ndarray, sign: np.ndarray, z: np.ndarray, y: np.ndarray) -> None:
+    """Replaces the float64 vector ``t`` by its erf with the signs of
+    ``sign``; ``z`` (t's size) and ``y`` (shape (2, t.size)) are scratch."""
+    a = np.abs(t, out=t)
+    np.minimum(a, 6.0, out=a)
+    past = (a > 1.0).nonzero()[0]
     v = a[past]
-    z = a * a
-    _horner(z, _ERF_T, out=out)
-    out *= a
-    out /= _horner(z, _ERF_U, out=a)  # a is spent
+    np.multiply(a, a, out=z)
+    _horner2(z, _ERF_TU, y)
+    a *= y[0]
+    a /= y[1]
     if past.size:
         e = np.negative(v)
         e *= v
         np.exp(e, out=e)
-        e *= _horner(v, _ERF_P)
-        e /= _horner(v, _ERF_Q)
-        out[past] = _ONE - e
+        pq = _horner2(v, _ERF_PQ, y[:, : past.size])
+        e *= pq[0]
+        e /= pq[1]
+        a[past] = 1.0 - e
+    np.copysign(a, sign, out=a)
 
 
-def _erf_chunk(t: np.ndarray, out: np.ndarray, sign: np.ndarray, spare: np.ndarray) -> None:
-    """erf of a float64 vector of at most _ERF_CHUNK elements into ``out``,
-    which may be ``t``, with the signs of ``sign``; ``spare`` is scratch of
-    t's size."""
-    a = spare
-    np.abs(t, out=a)
-    np.minimum(a, _ERF_CLAMP, out=a)
-    beyond = a > _ONE
-    past = beyond.nonzero()[0]
-    if past.size and a.size <= _ERF_NARROW:
-        _erf_narrow(a, beyond, out)
-    else:
-        _erf_wide(a, past, out)
-    np.copysign(out, sign, out=out)
+def _erf_chunks(flat: np.ndarray, divisor: float, cdf: np.ndarray | None, spare: np.ndarray | None):
+    """Walks the vector ``flat`` in chunks, yielding (lo, hi, c) with
+    c = erf(flat[lo:hi] / divisor) in float64 for a positive ``divisor``.
+    c is the chunk's slice of ``cdf`` when given, else scratch reused from
+    chunk to chunk; the chunk's slice of ``spare`` (or scratch) is clobbered."""
+    step = min(_ERF_MAX, max(_ERF_MIN, -(-flat.size // _ERF_SPLITS)))
+    n = min(flat.size, step)
+    y = np.empty((2, n))
+    held = np.empty(n) if cdf is None else None
+    scratch = np.empty(n) if spare is None else None
+    for lo in range(0, flat.size, step):
+        hi = min(lo + step, flat.size)
+        xs = flat[lo:hi]
+        c = held[: hi - lo] if cdf is None else cdf[lo:hi]
+        np.divide(xs, divisor, out=c)
+        _erf_chunk(c, xs, scratch[: hi - lo] if spare is None else spare[lo:hi], y[:, : hi - lo])
+        yield lo, hi, c
 
 
 def erf(x: np.ndarray) -> np.ndarray:
@@ -473,11 +444,8 @@ def erf(x: np.ndarray) -> np.ndarray:
     C library's ``erf``."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape)
-    flat, flat_out = x.reshape(-1), out.reshape(-1)
-    spare = np.empty(min(flat.size, _ERF_CHUNK))
-    for i in range(0, flat.size, _ERF_CHUNK):
-        xs = flat[i : i + _ERF_CHUNK]
-        _erf_chunk(xs, flat_out[i : i + _ERF_CHUNK], xs, spare[: xs.size])
+    for _ in _erf_chunks(x.reshape(-1), 1.0, out.reshape(-1), None):
+        pass
     return out
 
 
@@ -490,16 +458,13 @@ def gelu(a: Tensor) -> Tensor:
     # was made with that dtype. Each chunk runs the whole formula while it
     # is in cache, with its slice of the output as erf's scratch.
     out = np.empty(x.shape)
-    cdf = np.empty(x.shape) if keep else np.empty(min(x.size, _ERF_CHUNK))
-    flat, flat_out, flat_cdf = x.reshape(-1), out.reshape(-1), cdf.reshape(-1)
-    for i in range(0, flat.size, _ERF_CHUNK):
-        xs, o = flat[i : i + _ERF_CHUNK], flat_out[i : i + _ERF_CHUNK]
-        c = flat_cdf[i : i + _ERF_CHUNK] if keep else flat_cdf[: xs.size]
-        np.divide(xs, np.sqrt(2.0), out=c)
-        _erf_chunk(c, c, xs, o)  # x / sqrt(2) has the sign of x
-        c += _ONE
-        c *= _HALF
-        np.multiply(xs, c, out=o)
+    cdf = np.empty(x.shape) if keep else None
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    chunks = _erf_chunks(flat, np.sqrt(2.0), None if cdf is None else cdf.reshape(-1), flat_out)
+    for lo, hi, c in chunks:
+        c += 1.0
+        c *= 0.5
+        np.multiply(flat[lo:hi], c, out=flat_out[lo:hi])
 
     def backward(g):
         pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)

@@ -319,7 +319,7 @@ class TestErf:
                       np.inf, -np.inf, np.nan])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for n in (1, 2, 300):  # both kernels
+            for n in (1, 2, 1000):  # one chunk and two
                 erf(np.tile(x, n))
 
     def test_bitwise_odd(self):
@@ -327,12 +327,12 @@ class TestErf:
         assert erf(-x).tobytes() == (-erf(x)).tobytes()
 
     def test_slices_give_the_same_bits(self):
-        x = np.random.default_rng(4).normal(size=20_000) * 2
-        whole = erf(x)
-        cuts = [0, 1, 257, 513, 8_450, 16_900, 20_000]  # across both kernels and the chunks
+        x = np.random.default_rng(4).normal(size=600_000) * 2
+        whole = erf(x)  # chunks of the largest size
+        cuts = [0, 1, 257, 8_450, 16_900, 20_000, 120_000, 600_000]  # every chunk size between
         parts = np.concatenate([erf(x[a:b]) for a, b in zip(cuts, cuts[1:])])
         assert parts.tobytes() == whole.tobytes()
-        assert erf(x.reshape(100, 200)).tobytes() == whole.tobytes()
+        assert erf(x.reshape(1000, 600)).tobytes() == whole.tobytes()
 
 
 class TestSoftmaxValues:
