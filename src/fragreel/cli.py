@@ -57,10 +57,10 @@ from .errors import (
     MalformedJson,
     UnknownLabel,
 )
-from .frames import ClipStore, cutter, decoder
+from .frames import ClipStore, PreprocessConfig, cutter, decoder
 from .metrics import evaluation_report
 from .parallel import blas_threads, worker_plan
-from .params import ModelParams
+from .params import EncoderConfig, ModelParams
 from .quantize import load_model, quantize_params
 from .textmodel import PromptCache, load_catalogue, prompt_set_for
 from .training import eval_records, materialize_examples, train
@@ -74,9 +74,13 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _store(run: RunConfig) -> ClipStore:
+def _store(run: RunConfig, encoder: EncoderConfig | None = None) -> ClipStore:
+    """``run``'s videos, read as clips of the shape ``encoder`` takes:
+    the model's that reads them, by default the run config's."""
+    encoder = encoder or run.encoder
     source = decoder(run.decoder) if run.decoder is not None else None
-    return ClipStore(data_root=Path(run.data_root), preprocess=run.preprocess, decoder=source)
+    return ClipStore(data_root=Path(run.data_root), decoder=source,
+                     preprocess=PreprocessConfig(encoder.t_frames, encoder.side))
 
 
 def _read(path: str, parse):
@@ -126,23 +130,6 @@ class SessionClips:
         return self._clip_at(float(i))
 
 
-def _check_clip_shape(path: str, params: ModelParams, run: RunConfig) -> None:
-    """The model loaded from ``path`` takes the clips ``run`` preprocesses."""
-    encoder = params.config.encoder
-    takes = (encoder.t_frames, encoder.side)
-    gives = (run.preprocess.t_frames, run.preprocess.side)
-    if takes != gives:
-        raise ConfigError(f"{path} takes clips of (t_frames, side) = {takes}, "
-                          f"but the run config preprocesses to {gives}")
-
-
-def _load_model(path: str, run: RunConfig):
-    """``load_model``, checked to take the clips ``run`` preprocesses."""
-    params, qctx = load_model(path)
-    _check_clip_shape(path, params, run)
-    return params, qctx
-
-
 def _session(args, run: RunConfig):
     """Model, activation qctx, prompt set, prompt cache and the clips of
     ``args.video``.
@@ -156,8 +143,8 @@ def _session(args, run: RunConfig):
     if args.seconds is not None and args.seconds < 1:
         raise ConfigError(f"--seconds must be at least 1, got {args.seconds}")
     game = _parse_game(args.game)
-    params, qctx = _load_model(args.checkpoint, run)
-    store = _store(run)
+    params, qctx = load_model(args.checkpoint)
+    store = _store(run, params.config.encoder)
     duration = store.duration(game, args.video)
     seconds = int(duration) if args.seconds is None else min(args.seconds, int(duration))
     if seconds < 1:
@@ -283,12 +270,11 @@ def cmd_train(args, run: RunConfig) -> int:
 
 def cmd_eval(args, run: RunConfig) -> int:
     manifest = _read(args.manifest, manifest_from_json)
-    store = _store(run)
     entries = [e for e in manifest.entries if args.split in ("all", e.split)]
     if not entries:
         raise EmptyInput(f"manifest has no {args.split} entries")
-    params, qctx = _load_model(args.checkpoint, run)
-    examples = materialize_examples(entries, store, run.jobs)
+    params, qctx = load_model(args.checkpoint)
+    examples = materialize_examples(entries, _store(run, params.config.encoder), run.jobs)
     records = eval_records(examples, params, load_catalogue(run.catalogue), PromptCache(), qctx)
     report = evaluation_report(records)
     text = json.dumps(report, sort_keys=True, ensure_ascii=False) + "\n"
@@ -299,13 +285,12 @@ def cmd_eval(args, run: RunConfig) -> int:
 
 def cmd_quantize(args, run: RunConfig) -> int:
     manifest = _read(args.manifest, manifest_from_json)
-    store = _store(run)
     pool = [e for e in manifest.entries if e.split == "test"] or list(manifest.entries)
     picks = pool[: run.quantizer.calib_count]
     if not picks:
         raise EmptyInput("manifest has no entries to calibrate on")
     params, header = load_checkpoint(args.checkpoint)
-    _check_clip_shape(args.checkpoint, params, run)
+    store = _store(run, params.config.encoder)
     clips = [store.clip(e) for e in picks]
     catalogue = load_catalogue(run.catalogue)
     games = sorted({e.game for e in manifest.entries}, key=lambda g: g.value)
@@ -395,8 +380,10 @@ def cmd_highlight(args, run: RunConfig) -> int:
         command = cutter(run.cutter)
         Path(args.cut_dir).mkdir(parents=True, exist_ok=True)
         for i, cut in enumerate(edl.cuts):
-            command.run(input=edl.source, start=repr(cut.start_s), dur=repr(cut.end_s - cut.start_s),
-                        output=str(Path(args.cut_dir) / f"cut_{i:04d}.rgbc"))
+            with command.output(input=edl.source, start=repr(cut.start_s),
+                                dur=repr(cut.end_s - cut.start_s),
+                                output=str(Path(args.cut_dir) / f"cut_{i:04d}.rgbc")) as stdout:
+                stdout.read()
     # written last, so a list on disk means every cut of it was made
     _write_text(args.out, edl.to_json())
     logger.info("%d cuts -> %s", len(edl.cuts), args.out)

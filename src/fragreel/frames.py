@@ -86,6 +86,8 @@ class RawClip:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
+    """The shape of a preprocessed clip, as the reading model's encoder sets it."""
+
     t_frames: int = 32
     side: int = 224
 
@@ -359,14 +361,6 @@ class Command:
     def _exited(self, argv: list[str], code: int, stderr: bytes) -> DataResolutionError:
         return DataResolutionError(f"{self.key} exited {code}: {shlex.join(argv)}: {stderr[:200]!r}")
 
-    def run(self, **values: str) -> bytes:
-        """Fill the placeholders, run the process and return its stdout."""
-        argv = [part.format(**values) for part in self.argv]
-        proc = subprocess.run(argv, capture_output=True)
-        if proc.returncode != 0:
-            raise self._exited(argv, proc.returncode, proc.stderr)
-        return proc.stdout
-
     @contextmanager
     def output(self, **values: str):
         """Fill the placeholders, run the process and yield its stdout, an
@@ -413,7 +407,9 @@ class ClipStore:
     """The one path from a video file to preprocessed clips.
 
     Videos live under ``data_root/<game>/<video>``; ".rgbc" files are read
-    directly and anything else needs the external decoder.
+    directly and anything else needs the external decoder. ``preprocess``
+    is the clip shape of the model that reads the clips, taken from its
+    encoder: the run config's for a new model, the checkpoint's otherwise.
     """
 
     data_root: Path

@@ -34,10 +34,8 @@ def _openblas():
     copy loaded into the process, such as the one scipy bundles, which a
     caller may import although fragreel does not.
     """
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
+    from numpy._core import _multiarray_umath as umath
+
     try:
         lib = ctypes.CDLL(umath.__file__)
     except OSError:

@@ -13,7 +13,6 @@ from fragreel.config import (
     load_run_config,
 )
 from fragreel.errors import ConfigError
-from fragreel.frames import PreprocessConfig
 from fragreel.params import EncoderConfig, TextConfig
 from fragreel.training import TrainConfig
 
@@ -42,21 +41,21 @@ class TestRunConfig:
     def test_defaults_are_consistent(self):
         run = RunConfig()
         assert run.seed == 0
-        assert run.preprocess.t_frames == run.encoder.t_frames
-        assert run.preprocess.side == run.encoder.side
+        # the encoder is the one owner of the clip shape
+        assert not hasattr(run, "preprocess")
         assert run.model_config.encoder is run.encoder
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ConfigError):
             RunConfig(jobs=0)
 
-    def test_frame_count_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(preprocess=PreprocessConfig(t_frames=8))
+    def test_frame_count_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^config.preprocess.t_frames 8 != encoder.t_frames 32"):
+            load_run_config(write_config(tmp_path, {"preprocess": {"t_frames": 8}}))
 
-    def test_side_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(preprocess=PreprocessConfig(side=112))
+    def test_side_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^config.preprocess.side 112 != encoder.side 224"):
+            load_run_config(write_config(tmp_path, {"preprocess": {"side": 112}}))
 
     def test_unknown_freeze_group_rejected(self):
         with pytest.raises(ConfigError):
@@ -77,7 +76,8 @@ class TestLoadRunConfig:
         assert run.seed == 5
         assert run.train.epochs == 3
         assert run.encoder == EncoderConfig(**TOY_SECTIONS["encoder"])
-        assert run.preprocess.side == 4
+        # the preprocess section agreed with the encoder and is not kept
+        assert "preprocess" not in json.loads(describe(run))
 
     def test_train_seed_inherits_root_seed(self, tmp_path):
         run = load_run_config(write_config(tmp_path, {"seed": 5, "train": {"epochs": 2}}))
@@ -210,10 +210,33 @@ class TestLoadRunConfig:
             load_run_config(write_config(tmp_path, {"quantizer": {"calib_count": 0}}))
 
     def test_inconsistent_sections_rejected(self, tmp_path):
-        # encoder shrinks but preprocess still carries the default geometry
-        payload = {"encoder": TOY_SECTIONS["encoder"]}
-        with pytest.raises(ConfigError):
+        # the encoder shrinks, but preprocess still names the default side
+        payload = {"encoder": TOY_SECTIONS["encoder"], "preprocess": {"t_frames": 2, "side": 224}}
+        with pytest.raises(ConfigError, match=r"^config.preprocess.side 224 != encoder.side 4"):
             load_run_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("preprocess", [None, {"side": 4}], ids=["absent", "side_only"])
+    def test_encoder_alone_sets_the_clip_shape(self, tmp_path, preprocess):
+        """No preprocess section is needed, and one is checked only on the keys it sets."""
+        payload = {"encoder": TOY_SECTIONS["encoder"]}
+        if preprocess is not None:
+            payload["preprocess"] = preprocess
+        run = load_run_config(write_config(tmp_path, payload))
+        assert (run.encoder.t_frames, run.encoder.side) == (2, 4)
+
+    @pytest.mark.parametrize("preprocess, message", [
+        ({"t_frames": 3, "side": 4}, "config.preprocess.t_frames 3 != encoder.t_frames 2"),
+        ({"frames": 2}, "config.preprocess: unknown keys ['frames']"),
+        ({"side": "4"}, "config.preprocess.side must be an integer, got '4'"),
+        ({"t_frames": 0}, "config.preprocess: t_frames must be >= 1"),
+        ([2, 4], "config.preprocess: expected an object"),
+        (None, "config.preprocess: expected an object"),
+    ], ids=["contradicts_encoder", "unknown_key", "string_side", "zero_t_frames",
+            "not_an_object", "null"])
+    def test_bad_preprocess_section_is_exit_2(self, tmp_path, capsys, preprocess, message):
+        payload = {"encoder": TOY_SECTIONS["encoder"], "preprocess": preprocess}
+        assert main(["print-prompts", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 class TestModelSizes:

@@ -561,7 +561,8 @@ class TestCommand:
     def test_literal_braces_reach_the_process(self):
         echo = Command("echo", f"{sys.executable} -c 'import sys; print(sys.argv[1:])' "
                                "{{x}} {word}", ("word",))
-        assert echo.run(word="hi").decode().strip() == "['{x}', 'hi']"
+        with echo.output(word="hi") as stdout:
+            assert stdout.read().decode().strip() == "['{x}', 'hi']"
 
     @pytest.mark.parametrize("template", [
         5,
