@@ -5,9 +5,21 @@ Just enough machinery for a small transformer: broadcasting elementwise ops,
 softmax variants and GELU, each with a hand-derived backward. Tensors are float32 for training
 and inference; the same graph runs in float64 for oracle and gradient tests.
 
+The graph is kept apart from the data. A ``Tensor`` holds an op's output
+array. When the op is recorded, the tensor also points to a ``Node``, which
+holds no data: its parents' nodes, the gradient that reaches it, and a
+backward closure that captures only the arrays it reads (a matmul keeps
+the operand the other one's gradient needs, a softmax its output, a
+layernorm its normalized input, scale and gain, a GELU its input and CDF).
+So a forward's graph keeps alive only what backward reads: an output that
+no backward reads, such as a residual sum or the raw attention scores, is
+freed as soon as the forward drops its tensor. A leaf, such as a
+parameter, is its own node and keeps its gradient in ``grad``.
+
 Gradient tracking is per-thread: ``no_grad()`` disables graph construction
 on the current thread only, so read-only inference may run concurrently
-with training on another thread.
+with training on another thread. Under it an op builds no node and no
+closure.
 """
 
 from __future__ import annotations
@@ -37,17 +49,40 @@ def no_grad():
         _state.grad_enabled = previous
 
 
-class Tensor:
-    """An array plus the closure that routes gradients to its parents."""
+class Node:
+    """One recorded op: its parents' nodes, the closure that routes a gradient
+    to them, and the gradient that has reached it.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    A node holds no array of its own. Its closure captures exactly the arrays,
+    shapes and flags its backward reads, never a ``Tensor``, so an op output
+    that no backward reads is freed as soon as the forward lets go of it.
+    """
+
+    __slots__ = ("grad", "_parents", "_backward")
+
+    def __init__(self, parents: tuple, backward):
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._backward = backward
+
+
+class Tensor:
+    """An array, plus the node of the op that made it when the graph is recorded.
+
+    A leaf, such as a parameter, is its own node: it has no parents and no
+    closure, and its gradient lands in ``grad``. An op output's gradient
+    lives on its ``_node`` only while backward runs.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
+    _parents = ()  # a leaf, walked as a node
+    _backward = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -61,20 +96,24 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable tensor.
+        """Accumulate gradients of this scalar into every reachable leaf.
 
-        The graph is spent as it goes: once a node has passed its gradient
-        to its parents it drops that gradient, its closure (with the arrays
-        it saved) and its parents, so interior activations are freed during
-        the pass and nothing below this tensor stays alive after it. Leaves,
-        the tensors without a backward closure, keep ``grad``. A graph can
+        The graph is the nodes reachable from this tensor's. Each node holds
+        only what its closure reads (a matmul's other operand, a softmax's
+        output, a layernorm's normalized input), not the op's output, which
+        stays with the ``Tensor`` the forward returned. The graph is spent as
+        it goes: once a node has passed its gradient to its parents it drops
+        that gradient, its closure (with the arrays it captured) and its
+        parents, so those arrays are freed during the pass and nothing below
+        this tensor stays alive after it. Leaves keep ``grad``. A graph can
         therefore be differentiated once.
         """
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
-        topo: list[Tensor] = []
+        root = self._node or self
+        topo: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -85,16 +124,16 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent is not None and id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()  # reverse topological order; the list lets go of it
             if node._backward is None:
                 continue
             if node.grad is not None:
                 for parent, grad in zip(node._parents, node._backward(node.grad)):
-                    if grad is None or not parent.requires_grad:
+                    if grad is None or parent is None:
                         continue
                     # out of place: add hands the same array to both parents
                     parent.grad = grad if parent.grad is None else parent.grad + grad
@@ -147,13 +186,25 @@ def _const(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.dtype))
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    out = Tensor(data)
+def _record(*tensors: Tensor) -> tuple | None:
+    """The operands' nodes if an op on them is recorded, else None.
+
+    An op is recorded when gradients are enabled on this thread and some
+    operand needs one. An operand that needs none has None for its node,
+    and the op's closure computes no gradient for it. Ops return early when
+    this is None, so ``no_grad`` builds no closure and captures nothing.
+    """
     # grad_enabled() inlined: every op of a forward pass comes through here
-    if getattr(_state, "grad_enabled", True) and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    if not getattr(_state, "grad_enabled", True):
+        return None
+    nodes = tuple((t._node or t) if t.requires_grad else None for t in tensors)
+    return nodes if any(n is not None for n in nodes) else None
+
+
+def _make(data: np.ndarray, nodes: tuple, backward) -> Tensor:
+    """The output of a recorded op: ``data``, with a node over ``nodes``."""
+    out = Tensor(data, requires_grad=True)
+    out._node = Node(nodes, backward)
     return out
 
 
@@ -171,55 +222,100 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # primitive ops -----------------------------------------------------------
+#
+# Each op computes its output, returns it bare when ``_record`` says the op
+# is not recorded, and otherwise builds a closure over local names bound to
+# exactly what its backward reads. A closure that named an operand would
+# keep that operand's array alive for as long as the graph.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    nodes = _record(a, b)
+    if nodes is None:
+        return Tensor(data)
+    need_a, need_b = (n is not None for n in nodes)
+    shape_a, shape_b = a.shape, b.shape
+
+    def backward(g):
+        return (
+            _unbroadcast(g, shape_a) if need_a else None,
+            _unbroadcast(g, shape_b) if need_b else None,
+        )
+
+    return _make(data, nodes, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
-    return _make(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+    nodes = _record(a, b)
+    if nodes is None:
+        return Tensor(data)
+    need_a, need_b = (n is not None for n in nodes)
+    # each operand's gradient reads only the other operand
+    a_data = a.data if need_b else None
+    b_data = b.data if need_a else None
+    shape_a, shape_b = a.shape, b.shape
+
+    def backward(g):
+        return (
+            _unbroadcast(g * b_data, shape_a) if need_a else None,
+            _unbroadcast(g * a_data, shape_b) if need_b else None,
+        )
+
+    return _make(data, nodes, backward)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     data = a.data**exponent
+    nodes = _record(a)
+    if nodes is None:
+        return Tensor(data)
+    a_data = a.data
 
     def backward(g):
-        return (g * exponent * a.data ** (exponent - 1.0),)
+        return (g * exponent * a_data ** (exponent - 1.0),)
 
-    return _make(data, (a,), backward)
+    return _make(data, nodes, backward)
 
 
 def clip(a: Tensor, low: float, high: float) -> Tensor:
     data = np.clip(a.data, low, high)
+    nodes = _record(a)
+    if nodes is None:
+        return Tensor(data)
+    a_data = a.data
 
     def backward(g):
         # zero subgradient at and beyond the bounds
-        return (g * ((a.data > low) & (a.data < high)),)
+        return (g * ((a_data > low) & (a_data < high)),)
 
-    return _make(data, (a,), backward)
+    return _make(data, nodes, backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
     data = np.matmul(a.data, b.data)
+    nodes = _record(a, b)
+    if nodes is None:
+        return Tensor(data)
+    need_a, need_b = (n is not None for n in nodes)
+    # an operand that needs no gradient gets none computed, and the other
+    # operand, which only that gradient reads, is not kept
+    a_data = a.data if need_b else None
+    b_data = b.data if need_a else None
+    shape_a, shape_b = a.shape, b.shape
 
     def backward(g):
-        ga = gb = None  # an operand that needs no gradient gets none computed
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = gb = None
+        if need_a:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), shape_a)
+        if need_b:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), shape_b)
         return ga, gb
 
-    return _make(data, (a, b), backward)
+    return _make(data, nodes, backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -229,23 +325,37 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError("linear input must be 2-D")
     data = np.matmul(x.data, w.data)
     data += b.data
+    nodes = _record(x, w, b)
+    if nodes is None:
+        return Tensor(data)
+    need_x, need_w, need_b = (n is not None for n in nodes)
+    x_data = x.data if need_w else None
+    w_data = w.data if need_x else None
 
     def backward(g):
-        gx = g @ w.data.T if x.requires_grad else None
-        gw = x.data.T @ g if w.requires_grad else None
-        gb = g.sum(axis=0) if b.requires_grad else None
+        gx = g @ w_data.T if need_x else None
+        gw = x_data.T @ g if need_w else None
+        gb = g.sum(axis=0) if need_b else None
         return gx, gw, gb
 
-    return _make(data, (x, w, b), backward)
+    return _make(data, nodes, backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    data = a.data.reshape(shape)
+    nodes = _record(a)
+    if nodes is None:
+        return Tensor(data)
+    shape_a = a.shape
+    return _make(data, nodes, lambda g: (g.reshape(shape_a),))
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    # the inverse permutation is found in backward: no_grad calls never need it
-    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(np.argsort(axes)),))
+    data = a.data.transpose(axes)
+    nodes = _record(a)
+    if nodes is None:
+        return Tensor(data)
+    return _make(data, nodes, lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def _is_basic_index(index) -> bool:
@@ -260,39 +370,51 @@ def _is_basic_index(index) -> bool:
 
 
 def getitem(a: Tensor, index) -> Tensor:
+    data = a.data[index]
+    nodes = _record(a)
+    if nodes is None:
+        return Tensor(data)
     basic = _is_basic_index(index)
+    shape_a, dtype = a.shape, a.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape_a, dtype)
         if basic:  # no duplicates, so a plain add into the view is exact
             full[index] += g
         else:  # advanced indices may repeat an element: accumulate each use
             np.add.at(full, index, g)
         return (full,)
 
-    return _make(a.data[index], (a,), backward)
+    return _make(data, nodes, backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
+    nodes = _record(*tensors)
+    if nodes is None:
+        return Tensor(data)
     sizes = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def backward(g):
         return tuple(np.split(g, sizes, axis=axis))
 
-    return _make(data, tuple(tensors), backward)
+    return _make(data, nodes, backward)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    nodes = _record(a)
+    if nodes is None:
+        return Tensor(data)
+    shape_a = a.shape
 
     def backward(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, shape_a).copy(),)
         g_kept = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_kept, a.shape).copy(),)
+        return (np.broadcast_to(g_kept, shape_a).copy(),)
 
-    return _make(data, (a,), backward)
+    return _make(data, nodes, backward)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -305,23 +427,29 @@ def softmax(a: Tensor) -> Tensor:
     out = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
+    nodes = _record(a)
+    if nodes is None:
+        return Tensor(out)
 
     def backward(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
-    return _make(out, (a,), backward)
+    return _make(out, nodes, backward)
 
 
 def log_softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - log_z
+    nodes = _record(a)
+    if nodes is None:
+        return Tensor(out)
 
     def backward(g):
         return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
-    return _make(out, (a,), backward)
+    return _make(out, nodes, backward)
 
 
 LAYERNORM_EPS = 1e-5
@@ -342,20 +470,27 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
+    nodes = _record(x, gain, bias)
+    if nodes is None:
+        return Tensor(out)
+    need_x, need_gain, need_bias = (node is not None for node in nodes)
+    gain_data, shape_gain, shape_bias = gain.data, gain.shape, bias.shape
 
     def backward(g):
         reduce_axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=reduce_axes).reshape(gain.shape)
-        dbias = g.sum(axis=reduce_axes).reshape(bias.shape)
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dgain = (g * xhat).sum(axis=reduce_axes).reshape(shape_gain) if need_gain else None
+        dbias = g.sum(axis=reduce_axes).reshape(shape_bias) if need_bias else None
+        dx = None
+        if need_x:
+            dxhat = g * gain_data
+            dx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
         return dx, dgain, dbias
 
-    return _make(out, (x, gain, bias), backward)
+    return _make(out, nodes, backward)
 
 
 # Cephes' erf (Moshier, Cephes Math Library, ndtr.c; the forms of Cody,
@@ -452,25 +587,38 @@ def erf(x: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
     x = a.data
-    keep = grad_enabled() and a.requires_grad  # the backward reads the CDF
+    nodes = _record(a)
     # The output is float64 for a float32 x, as x / np.sqrt(2.0) makes it
     # (np.sqrt(2.0) is a float64 scalar); perfbench's stored int8 reference
     # was made with that dtype. Each chunk runs the whole formula while it
-    # is in cache, with its slice of the output as erf's scratch.
+    # is in cache, with its slice of the output as erf's scratch; the CDF is
+    # kept only for a recorded backward.
     out = np.empty(x.shape)
-    cdf = np.empty(x.shape) if keep else None
+    cdf = None if nodes is None else np.empty(x.shape)
     flat, flat_out = x.reshape(-1), out.reshape(-1)
     chunks = _erf_chunks(flat, np.sqrt(2.0), None if cdf is None else cdf.reshape(-1), flat_out)
     for lo, hi, c in chunks:
         c += 1.0
         c *= 0.5
         np.multiply(flat[lo:hi], c, out=flat_out[lo:hi])
+    if nodes is None:
+        return Tensor(out)
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        return (g * (cdf + x * pdf),)
+        # g * (cdf + x * pdf) with pdf = exp(-x²/2) / sqrt(2 pi): the same
+        # operations in the same order, with the pdf in one scratch array
+        # (a float32 x's divides into a new float64 one, as in the forward)
+        # and the sum and product finished in the CDF's own buffer
+        t = -0.5 * x
+        t *= x
+        np.exp(t, out=t)
+        t = np.divide(t, np.sqrt(2.0 * np.pi), out=t if t.dtype == cdf.dtype else None)
+        t *= x
+        np.add(cdf, t, out=cdf)
+        np.multiply(cdf, g, out=cdf)
+        return (cdf,)
 
-    return _make(out, (a,), backward)
+    return _make(out, nodes, backward)
 
 
 def assert_finite(t: Tensor, what: str) -> Tensor:

@@ -89,8 +89,9 @@ def frame_tiles(t: int) -> list[slice]:
     """The tiles of frames that the per-frame work of ``t`` frames runs over.
 
     Under ``no_grad`` each tile's temporaries are freed before the next tile
-    runs. Under gradients the graph keeps every activation for backward, so
-    one tile spans the clip and training builds the graph it always has.
+    runs. Under gradients the graph keeps what backward reads of every
+    frame anyway, so one tile spans the clip and training builds the graph
+    it always has.
     """
     if grad_enabled() or t <= TILE_FRAMES:
         return [WHOLE]

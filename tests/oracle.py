@@ -244,10 +244,18 @@ def o_gelu_fresh(x: np.ndarray) -> np.ndarray:
     return x * (0.5 * (1.0 + erf(x / np.sqrt(2.0))))
 
 
+def o_gelu_backward_fresh(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """GELU's input gradient from its CDF, one fresh array per step."""
+    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    return g * (cdf + x * pdf)
+
+
 def keep_graph_backward(loss) -> None:
     """Backward over a scalar ``Tensor`` that releases nothing: every node
-    keeps its gradient, closure and parents."""
-    topo, seen, stack = [], set(), [(loss, False)]
+    keeps its gradient, closure and parents. The walk is over the graph's
+    nodes: an op output's ``_node``, or the leaf tensor itself."""
+    root = loss._node or loss
+    topo, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -258,13 +266,13 @@ def keep_graph_backward(loss) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent is not None and id(parent) not in seen:
                 stack.append((parent, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is None or node.grad is None:
             continue
         for parent, grad in zip(node._parents, node._backward(node.grad)):
-            if grad is None or not parent.requires_grad:
+            if grad is None or parent is None:
                 continue
             parent.grad = grad if parent.grad is None else parent.grad + grad

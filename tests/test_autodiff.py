@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import oracle
 import pytest
 from conftest import toy_model_config
 
-from fragreel import layers
+from fragreel import autodiff, layers
 from fragreel.autodiff import (
     Tensor,
     _is_basic_index,
@@ -39,7 +40,7 @@ from fragreel.autodiff import (
 from fragreel.catalogue import GameId
 from fragreel.errors import NonFiniteActivation
 from fragreel.params import ModelParams
-from fragreel.textmodel import classification_logits, prompt_set_for
+from fragreel.textmodel import classification_logits, classify, prompt_set_for
 from fragreel.videomodel import encode_video
 
 H = 1e-6
@@ -155,11 +156,21 @@ class TestLinear:
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         b = Tensor(rng.normal(size=(2,)))
         g = rng.normal(size=(3, 2))
-        gx, gw, gb = linear(x, w, b)._backward(g)
+        gx, gw, gb = linear(x, w, b)._node._backward(g)
         assert gx is None and gb is None
         assert gw.tobytes() == (x.data.T @ g).tobytes()
-        ga, gm = matmul(x, w)._backward(g)
+        ga, gm = matmul(x, w)._node._backward(g)
         assert ga is None and gm.tobytes() == gw.tobytes()
+        # add and mul, with the operand that needs a gradient on either side
+        a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        c = Tensor(rng.normal(size=(1, 2)))
+        for first, second in ((a, c), (c, a)):
+            sums = (first + second)._node._backward(g)
+            products = (first * second)._node._backward(g)
+            i = 0 if first is a else 1
+            assert sums[1 - i] is None and products[1 - i] is None
+            assert sums[i].tobytes() == g.tobytes()
+            assert products[i].tobytes() == (g * c.data).tobytes()
 
 
 class TestShapeGrads:
@@ -221,7 +232,7 @@ class TestGetitemBackward:
         g = rng.normal(size=out.shape)
         want = np.zeros(self.SHAPE)
         np.add.at(want, index, g)
-        return out._backward(g)[0], want
+        return out._node._backward(g)[0], want
 
     def test_basic_indices(self):
         rng = np.random.default_rng(0)
@@ -293,6 +304,16 @@ class TestFreshArrayFormulas:
         want = oracle.o_gelu_fresh(x)
         assert got.dtype == want.dtype == np.float64  # float32 in, float64 out
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_backward(self, dtype):
+        rng = np.random.default_rng(3)
+        x = (rng.normal(size=(5, 11)) * 3).astype(dtype)
+        out = gelu(Tensor(x, requires_grad=True))
+        g = rng.normal(size=out.shape)
+        got = out._node._backward(g)[0]
+        want = oracle.o_gelu_backward_fresh(x, 0.5 * (1.0 + erf(x / np.sqrt(2.0))), g)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestErf:
@@ -396,10 +417,10 @@ class TestGraphRelease:
         return reshape(-log_softmax(logits)[1], (1,))
 
     def graph_nodes(self, loss):
-        nodes, seen, stack = [], set(), [loss]
+        nodes, seen, stack = [], set(), [loss._node]
         while stack:
             node = stack.pop()
-            if id(node) not in seen:
+            if node is not None and id(node) not in seen:
                 seen.add(id(node))
                 nodes.append(node)
                 stack.extend(node._parents)
@@ -430,6 +451,71 @@ class TestGraphRelease:
         loss.backward()
         np.testing.assert_array_equal(a.grad, 2.0 * a.data + 1.0)
         np.testing.assert_array_equal(b.grad, np.ones(2))
+
+
+class TestGraphHoldsOnlyWhatBackwardReads:
+    """A recorded op keeps only the arrays its backward reads, so outputs
+    that no backward reads are freed while the graph is still alive."""
+
+    def leaves(self):
+        rng = np.random.default_rng(11)
+        shapes = {"a": (4, 5), "b": (5, 4), "w": (4, 5), "bias": (5,)}
+        return {name: Tensor(rng.normal(size=shape), requires_grad=True)
+                for name, shape in shapes.items()}
+
+    def forward(self, t):
+        """softmax(a b c), fed through a linear into a residual add; returns
+        the loss and weak references to four op outputs and to y."""
+        scores = matmul(t["a"], t["b"])
+        scaled = scores * Tensor(np.array(0.5))
+        y = softmax(scaled)
+        projected = linear(y, t["w"], t["bias"])  # read only by the add
+        residual = t["a"] + projected
+        weights = Tensor(np.random.default_rng(12).normal(size=residual.shape))
+        loss = sum_(softmax(residual) * weights)
+        arrays = {"scores": scores, "scaled": scaled, "projected": projected,
+                  "residual": residual, "y": y}
+        return loss, {name: weakref.ref(out.data) for name, out in arrays.items()}
+
+    def test_unread_outputs_freed_and_leaf_grads_unchanged(self):
+        t = self.leaves()
+        loss, refs = self.forward(t)
+        for name in ("scores", "scaled", "projected", "residual"):
+            assert refs[name]() is None, f"{name} is still held by the graph"
+        assert refs["y"]() is not None  # the softmax's backward reads its output
+        loss.backward()
+        got = {name: leaf.grad.tobytes() for name, leaf in t.items()}
+
+        t = self.leaves()
+        oracle.keep_graph_backward(self.forward(t)[0])
+        assert got == {name: leaf.grad.tobytes() for name, leaf in t.items()}
+
+
+class TestNoGradRecordsNothing:
+    def test_encode_and_classify_make_no_node(self, monkeypatch):
+        made, nodes = [], []
+        tensor_init, node_init = Tensor.__init__, autodiff.Node.__init__
+
+        def tracked_tensor(self, *args, **kwargs):
+            tensor_init(self, *args, **kwargs)
+            made.append(self)
+
+        def tracked_node(self, *args):
+            node_init(self, *args)
+            nodes.append(self)
+
+        params = ModelParams.init(toy_model_config(), seed=7)  # every tensor requires grad
+        clip_ = np.random.default_rng(5).normal(size=(2, 4, 4, 3)).astype(np.float32)
+        monkeypatch.setattr(Tensor, "__init__", tracked_tensor)
+        monkeypatch.setattr(autodiff.Node, "__init__", tracked_node)
+        with no_grad():
+            v = encode_video(clip_, params)
+        classify(v, prompt_set_for(GameId.OW2), params)
+        assert len(made) > 100 and not nodes
+        assert all(t._node is None and t._backward is None and not t.requires_grad for t in made)
+
+        encode_video(clip_, params)  # the same forward under gradients does record
+        assert nodes
 
 
 class TestAssertFinite:
