@@ -27,6 +27,16 @@ def _check_video(video) -> None:
         raise DataError(f"video name must be a non-empty string, got {video!r}")
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; a bool is no number: ``true`` is not 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise TypeError(f"{name} is beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class AnnotatedEvent:
     """A labeled time interval in one video of one game."""
@@ -117,10 +127,12 @@ def parse_via(json_bytes: bytes, game: GameId) -> list[AnnotatedEvent]:
         if not isinstance(values, dict) or not values:
             raise MalformedJson(f"metadata entry {mid!r} has no label attribute")
         raw_label = values[sorted(values)[0]]
-        label = parse_label(str(raw_label), game)
+        if not isinstance(raw_label, str):
+            raise MalformedJson(f"metadata entry {mid!r} has label {raw_label!r}, not a string")
+        label = parse_label(raw_label, game)
         try:
-            start, end = float(span[0]), float(span[1])
-        except (TypeError, ValueError) as exc:
+            start, end = _number(span[0], "start"), _number(span[1], "end")
+        except TypeError as exc:
             raise MalformedJson(f"metadata entry {mid!r} has non-numeric span {span!r}") from exc
         events.append(AnnotatedEvent(names[vid], start, end, label, game))
     return events
@@ -206,15 +218,16 @@ def manifest_from_json(text: str | bytes) -> DatasetManifest:
         entries = tuple(
             ClipRef(
                 video=e["video"],
-                clip_start_s=float(e["clip_start_s"]),
+                clip_start_s=_number(e["clip_start_s"], "clip_start_s"),
                 split=e["split"],
                 **_label_and_game(e),
             )
             for e in payload["entries"]
         )
-        return DatasetManifest(
-            seed=int(payload["seed"]), entries=entries, version=payload["version"]
-        )
+        seed = payload["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise TypeError(f"seed must be an integer, got {seed!r}")
+        return DatasetManifest(seed=seed, entries=entries, version=payload["version"])
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise MalformedJson(f"bad manifest: {exc}") from exc
 
@@ -239,8 +252,8 @@ def events_from_json(text: str | bytes) -> list[AnnotatedEvent]:
         return [
             AnnotatedEvent(
                 video=e["video"],
-                start_s=float(e["start_s"]),
-                end_s=float(e["end_s"]),
+                start_s=_number(e["start_s"], "start_s"),
+                end_s=_number(e["end_s"], "end_s"),
                 **_label_and_game(e),
             )
             for e in payload

@@ -63,7 +63,7 @@ from .parallel import blas_threads, worker_plan
 from .params import EncoderConfig, ModelParams
 from .quantize import load_model, quantize_params
 from .textmodel import PromptCache, load_catalogue, prompt_set_for
-from .training import eval_records, materialize_examples, train
+from .training import eval_records, train
 
 logger = logging.getLogger("fragreel")
 
@@ -195,14 +195,6 @@ def cmd_build_manifest(args, run: RunConfig) -> int:
     return 0
 
 
-def _split_examples(manifest, store, run: RunConfig):
-    train_entries = [e for e in manifest.entries if e.split == "train"]
-    test_entries = [e for e in manifest.entries if e.split == "test"]
-    train_set = materialize_examples(train_entries, store, run.jobs)
-    test_set = materialize_examples(test_entries, store, run.jobs)
-    return train_set, test_set
-
-
 def _peak_rss_mb(status: str = "/proc/self/status") -> float | None:
     """This process's own peak RSS in MB (2**20 bytes), or None where it
     cannot be read.
@@ -228,7 +220,8 @@ def _peak_rss_mb(status: str = "/proc/self/status") -> float | None:
 def cmd_train(args, run: RunConfig) -> int:
     manifest = _read(args.manifest, manifest_from_json)
     store = _store(run)
-    train_set, val_set = _split_examples(manifest, store, run)
+    for entry in manifest.entries:  # a bad entry stops the run before it writes
+        store.check(entry)
     params = ModelParams.init(run.model_config, run.seed)
     catalogue = load_catalogue(run.catalogue)
     if args.history:
@@ -248,14 +241,16 @@ def cmd_train(args, run: RunConfig) -> int:
         last_step = now
 
     history = train(
-        train_set,
-        val_set,
+        [e for e in manifest.entries if e.split == "train"],
+        [e for e in manifest.entries if e.split == "test"],
+        store.clip,
         params,
         run.train,
         catalogue=catalogue,
         checkpoint_path=args.checkpoint,
         history_path=args.history,
         on_step=progress,
+        jobs=run.jobs,
     )
     last = history[-1]
     logger.info(
@@ -274,8 +269,8 @@ def cmd_eval(args, run: RunConfig) -> int:
     if not entries:
         raise EmptyInput(f"manifest has no {args.split} entries")
     params, qctx = load_model(args.checkpoint)
-    examples = materialize_examples(entries, _store(run, params.config.encoder), run.jobs)
-    records = eval_records(examples, params, load_catalogue(run.catalogue), PromptCache(), qctx)
+    records = eval_records(entries, _store(run, params.config.encoder).clip, params,
+                           load_catalogue(run.catalogue), PromptCache(), qctx, run.jobs)
     report = evaluation_report(records)
     text = json.dumps(report, sort_keys=True, ensure_ascii=False) + "\n"
     _write_text(args.out, text)

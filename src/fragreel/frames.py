@@ -474,9 +474,14 @@ class ClipStore:
             raise DataResolutionError(f"{path} is not .rgbc and no decoder is configured")
         return clip_at
 
-    def clip(self, ref: ClipRef) -> np.ndarray:
-        """The clip a manifest entry names; it must start before an ".rgbc" video ends."""
+    def check(self, ref: ClipRef) -> None:
+        """Raises unless a manifest entry names a video file and, for an
+        ".rgbc" file, starts before it ends; only the header is read."""
         path = self.resolve(ref.game, ref.video)
         if path.suffix == ".rgbc" and ref.clip_start_s >= self.duration(ref.game, ref.video):
             raise DataResolutionError(f"{path}: clip starts at {ref.clip_start_s}s, at or past the end")
+
+    def clip(self, ref: ClipRef) -> np.ndarray:
+        """The clip a manifest entry names, which must pass ``check``."""
+        self.check(ref)
         return self.clips(ref.game, ref.video)(ref.clip_start_s)

@@ -197,14 +197,6 @@ def group_of(name: str) -> str:
         raise ConfigError(f"parameter {name!r} belongs to no known group") from None
 
 
-def param_count(cfg: ModelConfig, group: str | None = None) -> int:
-    total = 0
-    for spec in param_specs(cfg):
-        if group is None or group_of(spec.name) == group:
-            total += int(np.prod(spec.shape)) if spec.shape else 1
-    return total
-
-
 class ModelParams:
     """All learnable tensors, addressable by dotted name."""
 

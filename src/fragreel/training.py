@@ -18,7 +18,7 @@ import numpy as np
 
 from . import seeds
 from .autodiff import concat, log_softmax, mean, reshape
-from .catalogue import EventLabel, GameId
+from .annotations import ClipRef
 from .errors import ConfigError, NonFiniteGradient
 from .checkpoint import save_checkpoint
 from .detection import classify_second
@@ -52,15 +52,6 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         object.__setattr__(self, "freeze", frozenset(self.freeze))
-
-
-@dataclass(frozen=True)
-class TrainExample:
-    """One preprocessed clip with its game and event label."""
-
-    clip: np.ndarray
-    game: GameId
-    label: EventLabel
 
 
 def cosine_lr(epoch: int, cfg: TrainConfig) -> float:
@@ -119,21 +110,22 @@ def adamw_step(
         )
 
 
-def _prompt_sets_for(examples, catalogue):
-    games = sorted({ex.game for ex in examples}, key=lambda g: g.value)
+def _prompt_sets_for(refs, catalogue):
+    games = sorted({ref.game for ref in refs}, key=lambda g: g.value)
     return {game: prompt_set_for(game, catalogue) for game in games}
 
 
-def _batch_loss(batch, params, prompt_sets, cache, text_grad):
-    """Mean cross-entropy over a batch; also counts argmax hits."""
+def _batch_loss(batch, read, params, prompt_sets, cache, text_grad):
+    """Mean cross-entropy over a batch; also counts argmax hits. Each clip
+    is read as it is encoded."""
     losses = []
     correct = 0
-    for ex in batch:
-        v = encode_video(ex.clip, params)
-        prompt_set = prompt_sets[ex.game]
+    for ref in batch:
+        v = encode_video(read(ref), params)
+        prompt_set = prompt_sets[ref.game]
         logits = classification_logits(v, prompt_set, params, cache, text_grad=text_grad)
         log_probs = log_softmax(logits)
-        idx = prompt_set.index_of(ex.label)
+        idx = prompt_set.index_of(ref.label)
         losses.append(reshape(-log_probs[idx], (1,)))
         scores = log_probs.data
         if first_highest(range(len(scores)), key=lambda i: scores[i]) == idx:
@@ -141,43 +133,51 @@ def _batch_loss(batch, params, prompt_sets, cache, text_grad):
     return mean(concat(losses, axis=0)), correct
 
 
-def eval_records(examples, params: ModelParams, catalogue=None, cache=None,
-                 qctx=None) -> list[EvalRecord]:
-    """Classify every example in turn; one record of its probabilities each."""
-    prompt_sets = _prompt_sets_for(examples, catalogue)
-    records = []
-    for ex in examples:
-        pred = classify_second(ex.clip, prompt_sets[ex.game], params, cache, qctx)
-        records.append(EvalRecord(true_label=ex.label, probabilities=pred.probabilities, game=ex.game))
-    return records
+def eval_records(refs, read, params: ModelParams, catalogue=None, cache=None, qctx=None,
+                 jobs: int = 1) -> list[EvalRecord]:
+    """One record of its probabilities per ref, in ref order. Each clip is
+    read where it is classified, on up to ``jobs`` workers (see ``parallel``)."""
+    prompt_sets = _prompt_sets_for(refs, catalogue)
+
+    def score(ref) -> EvalRecord:
+        pred = classify_second(read(ref), prompt_sets[ref.game], params, cache, qctx)
+        return EvalRecord(true_label=ref.label, probabilities=pred.probabilities, game=ref.game)
+
+    return map_ordered(score, refs, jobs)
 
 
-def evaluate(examples, params: ModelParams, catalogue=None, cache=None) -> float | None:
-    """Argmax accuracy over examples; None when the list is empty."""
-    if not examples:
+def evaluate(refs, read, params: ModelParams, catalogue=None, cache=None,
+             jobs: int = 1) -> float | None:
+    """Argmax accuracy over refs; None when the list is empty."""
+    if not refs:
         return None
-    return accuracy(eval_records(examples, params, catalogue, cache))
+    return accuracy(eval_records(refs, read, params, catalogue, cache, jobs=jobs))
 
 
 def train(
-    train_set: list[TrainExample],
-    val_set: list[TrainExample],
+    train_set: list[ClipRef],
+    val_set: list[ClipRef],
+    read,
     params: ModelParams,
     cfg: TrainConfig,
     catalogue=None,
     checkpoint_path=None,
     history_path=None,
     on_step=None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Finetune ``params`` in place and return the per-epoch history.
 
-    ``params`` end at the last epoch, each tensor's ``requires_grad`` set
-    to whether ``cfg.freeze`` leaves it trainable; a trainable tensor whose
-    array is read-only, as a loaded checkpoint's are, first gets a copy of
-    it. The best parameters are
-    the checkpoint, written to ``checkpoint_path`` whenever the monitored
-    accuracy strictly improves, so the saved accuracy sequence is strictly
-    increasing. ``on_step(epoch, step, loss)`` observes per-batch losses.
+    ``read(ref)`` gives the clip of a ref, whose ``game`` and ``label`` it
+    is trained or scored against. A step reads only its own batch's clips;
+    validation reads its clips on up to ``jobs`` workers. ``params`` end at
+    the last epoch, each tensor's ``requires_grad`` set to whether
+    ``cfg.freeze`` leaves it trainable; a trainable tensor whose array is
+    read-only, as a loaded checkpoint's are, first gets a copy of it. The
+    best parameters are the checkpoint, written to ``checkpoint_path``
+    whenever the monitored accuracy strictly improves, so the saved accuracy
+    sequence is strictly increasing. ``on_step(epoch, step, loss)`` observes
+    per-batch losses.
     """
     if not train_set:
         raise ConfigError("training set is empty")
@@ -205,7 +205,7 @@ def train(
         for step, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
             params.zero_grads()
-            loss, hits = _batch_loss(batch, params, prompt_sets, cache, text_grad)
+            loss, hits = _batch_loss(batch, read, params, prompt_sets, cache, text_grad)
             loss.backward()
             grads = {}
             for name in trainable:
@@ -222,7 +222,7 @@ def train(
             correct += hits
         train_loss = loss_sum / seen
         train_acc = correct / seen
-        val_acc = evaluate(val_set, params, catalogue, cache)
+        val_acc = evaluate(val_set, read, params, catalogue, cache, jobs)
         metric = val_acc if val_acc is not None else train_acc
         wrote = False
         if metric > best_metric:
@@ -243,16 +243,3 @@ def train(
             with open(history_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     return history
-
-
-def materialize_examples(manifest_entries, store, jobs: int = 1) -> list[TrainExample]:
-    """Resolve manifest entries to preprocessed clips.
-
-    Decoding runs on up to ``jobs`` workers (see ``parallel``); output order
-    matches the input entries regardless of completion order.
-    """
-
-    def load(entry):
-        return TrainExample(clip=store.clip(entry), game=entry.game, label=entry.label)
-
-    return map_ordered(load, manifest_entries, jobs)

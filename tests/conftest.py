@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,10 @@ from fragreel.params import (
     ModelConfig,
     ModelParams,
     TextConfig,
+    group_of,
+    param_specs,
 )
-from fragreel.training import TrainConfig, TrainExample, train
+from fragreel.training import TrainConfig, train
 
 OVERFIT_LABELS = (
     EventLabel.KILL,
@@ -112,12 +115,36 @@ def tracemalloc_peak(fn):
         tracemalloc.stop()
 
 
+def param_count(cfg: ModelConfig, group: str | None = None) -> int:
+    """Scalars of the model, or of one parameter group of it."""
+    total = 0
+    for spec in param_specs(cfg):
+        if group is None or group_of(spec.name) == group:
+            total += int(np.prod(spec.shape)) if spec.shape else 1
+    return total
+
+
 def plain_f64(params: ModelParams) -> dict[str, np.ndarray]:
     """Parameters as a plain name -> float64 array dict for the oracle."""
     return {name: params[name].data.astype(np.float64) for name in params.names()}
 
 
-def overfit_clips(mag: float = 5.0) -> list[TrainExample]:
+@dataclass(frozen=True)
+class Example:
+    """A preprocessed clip with the game and label a manifest entry
+    carries, so training and scoring need no video files."""
+
+    clip: np.ndarray
+    game: GameId
+    label: EventLabel
+
+
+def read_clip(example: Example) -> np.ndarray:
+    """The ``read`` function for ``Example`` refs."""
+    return example.clip
+
+
+def overfit_clips(mag: float = 5.0) -> list[Example]:
     """Eight synthetic clips, two per class, with row/column signatures.
 
     Class k lights row k and darkens column k, so classes are linearly
@@ -129,7 +156,7 @@ def overfit_clips(mag: float = 5.0) -> list[TrainExample]:
         frames = np.zeros((2, 4, 4, 3), dtype=np.float32)
         frames[:, k, :, :] = mag
         frames[:, :, k, :] -= mag
-        examples.append(TrainExample(clip=frames, game=GameId.OW2, label=OVERFIT_LABELS[k]))
+        examples.append(Example(clip=frames, game=GameId.OW2, label=OVERFIT_LABELS[k]))
     return examples
 
 
@@ -218,7 +245,7 @@ def overfit_run(tmp_path_factory):
         epoch_end[epoch] = {name: params[name].data.tobytes() for name in params.names()}
 
     history = train(
-        examples, [], params, OVERFIT_TRAIN,
+        examples, [], read_clip, params, OVERFIT_TRAIN,
         checkpoint_path=ckpt, history_path=hist, on_step=snapshot,
     )
     return {

@@ -94,12 +94,24 @@ class TestParseVia:
         with pytest.raises(MalformedJson):
             parse_via(blob, GameId.CSGO)
 
-    @pytest.mark.parametrize("span", [["x", 2.0], [1.0, None], 5, "ab", {"a": 1, "b": 2}],
-                             ids=["string", "null", "number", "two_char_string", "object"])
+    @pytest.mark.parametrize("span", [["x", 2.0], [1.0, None], 5, "ab", {"a": 1, "b": 2},
+                                      [True, 2], ["1", 2.0]],
+                             ids=["string", "null", "number", "two_char_string", "object",
+                                  "bool", "numeric_string"])
     def test_bad_span_raises_naming_the_entry(self, span):
         blob = via_project({
             "1_a": {"vid": "1", "z": [1.0, 2.0], "av": {"1": "Kill"}},
             "1_bad": {"vid": "1", "z": span, "av": {"1": "Kill"}},
+        })
+        with pytest.raises(MalformedJson, match="'1_bad'"):
+            parse_via(blob, GameId.CSGO)
+
+    @pytest.mark.parametrize("label", [["Kill"], 1, None, {"1": "Kill"}],
+                             ids=["list", "number", "null", "object"])
+    def test_label_not_a_string_raises_naming_the_entry(self, label):
+        blob = via_project({
+            "1_a": {"vid": "1", "z": [1.0, 2.0], "av": {"1": "Kill"}},
+            "1_bad": {"vid": "1", "z": [3.0, 4.0], "av": {"1": label}},
         })
         with pytest.raises(MalformedJson, match="'1_bad'"):
             parse_via(blob, GameId.CSGO)
@@ -256,6 +268,28 @@ class TestSerialization:
             manifest_from_json("{}")
         with pytest.raises(MalformedJson):
             manifest_from_json("not json")
+
+    @pytest.mark.parametrize("key, value", [
+        ("clip_start_s", "5"), ("clip_start_s", True), ("clip_start_s", 10**400),
+        ("seed", 1.7), ("seed", True), ("seed", "3"),
+    ], ids=["start_string", "start_bool", "start_past_float_range", "seed_fraction",
+            "seed_bool", "seed_string"])
+    def test_manifest_numbers_must_be_json_numbers(self, key, value):
+        manifest = build_manifest(synthetic_events({EventLabel.KILL: 2}), [], seed=5,
+                                  durations={"v": 1000.0})
+        payload = json.loads(manifest_to_json(manifest))
+        (payload if key == "seed" else payload["entries"][0])[key] = value
+        with pytest.raises(MalformedJson, match=key):
+            manifest_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("key, value", [
+        ("start_s", "5"), ("start_s", False), ("end_s", True), ("end_s", "7.5"),
+    ], ids=["start_string", "start_bool", "end_bool", "end_string"])
+    def test_event_bounds_must_be_json_numbers(self, key, value):
+        payload = json.loads(events_to_json(synthetic_events({EventLabel.KILL: 1})))
+        payload[0][key] = value
+        with pytest.raises(MalformedJson, match=key):
+            events_from_json(json.dumps(payload))
 
     def test_bad_events_raise(self):
         with pytest.raises(MalformedJson):

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import rewrite_header, toy_model_config, tracemalloc_peak
+from conftest import param_count, rewrite_header, toy_model_config, tracemalloc_peak
 from fragreel import checkpoint
 from fragreel.checkpoint import (
     MAGIC_FP32,
@@ -30,7 +30,6 @@ from fragreel.params import (
     ModelConfig,
     ModelParams,
     TextConfig,
-    param_count,
 )
 
 

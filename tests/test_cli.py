@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cli_peak_rss_mb, rewrite_header
+from conftest import cli_peak_rss_mb, param_count, rewrite_header
 
 import fragreel
 from fragreel.annotations import (
@@ -34,7 +34,7 @@ from fragreel.config import load_run_config
 from fragreel import cli, detection, frames
 from fragreel.cli import build_parser, main
 from fragreel.frames import RawClip, write_rgbc
-from fragreel.params import ModelParams, param_count
+from fragreel.params import ModelParams
 from fragreel.quantize import load_model, quantize_params
 from fragreel.textmodel import PromptCache, load_catalogue, prompt_set_for
 
@@ -1087,8 +1087,10 @@ class TestExitCodes:
         ("train", "split", "val"),
         ("train", "video", 5),
         ("eval", "video", ""),
+        ("train", "clip_start_s", "5"),
+        ("eval", "clip_start_s", True),
     ], ids=["label_not_in_game", "nan_start", "negative_start", "unknown_split",
-            "numeric_video", "empty_video"])
+            "numeric_video", "empty_video", "string_start", "bool_start"])
     def test_bad_manifest_entry_is_data_error_naming_the_file(self, env, tmp_path, capsys,
                                                               command, key, value):
         payload = json.loads(env["artifacts"]["manifest"].read_text())
@@ -1124,6 +1126,25 @@ class TestExitCodes:
         video = env["data"] / GAME / "alpha.rgbc"
         assert f"fragreel: {video}: clip starts at {start}s" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [{"video": "missing.rgbc"},
+                                     {"video": "alpha.rgbc", "clip_start_s": 30.0}],
+                             ids=["missing_video", "start_past_end"])
+    def test_bad_last_train_entry_stops_train_before_any_step_or_write(self, env, tmp_path,
+                                                                        capsys, caplog, bad):
+        caplog.set_level(logging.INFO, logger="fragreel")
+        payload = json.loads(env["artifacts"]["manifest"].read_text())
+        last = max(i for i, e in enumerate(payload["entries"]) if e["split"] == "train")
+        payload["entries"][last].update(bad)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        out = {"checkpoint": tmp_path / "model.xckp", "history": tmp_path / "history.jsonl"}
+        rc = run_cli(["-v", "train", "--config", env["config"], "--manifest", manifest,
+                      "--checkpoint", out["checkpoint"], "--history", out["history"]])
+        assert rc == 3
+        assert bad["video"] in capsys.readouterr().err
+        assert not [r for r in caplog.records if r.getMessage().startswith("train: epoch")]
+        assert not out["checkpoint"].exists() and not out["history"].exists()
 
     def test_events_video_not_a_string_is_data_error_naming_the_file(self, env, tmp_path, capsys):
         events = json.loads(env["events"].read_text())
@@ -1199,3 +1220,61 @@ class TestLongInput:
         # one second's selected frames, 11.9 MB; a session read through a map
         # of the file grows by about 33 MB from 2 to 16 seconds
         assert peaks[16] - peaks[2] < tiny["t_frames"] * frame_mb, peaks
+
+
+class TestLongManifest:
+    """``eval`` and ``train`` read each clip where they classify or train on
+    it, so their peak RSS grows by about ``jobs`` clips, not by the split."""
+
+    SHAPE = {"t_frames": 8, "side": 128}
+    CLIP_MB = 8 * 128 * 128 * 3 * 4 / 2**20  # one preprocessed float32 clip, 1.5 MB
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("long-manifest")
+        game_dir = root / "data" / GAME
+        game_dir.mkdir(parents=True)
+        side, fps, seconds = self.SHAPE["side"], 8, 33
+        with open(game_dir / "long.rgbc", "wb") as fh:  # all holes on disk
+            fh.write(b"RGBC" + struct.pack("<5I", side, side, seconds * fps, fps, 1))
+            fh.truncate(24 + seconds * fps * side * side * 3)
+        config = dict(TOY_CONFIG, data_root=str(root / "data"), preprocess=self.SHAPE,
+                      encoder=dict(TOY_CONFIG["encoder"], patch=16, **self.SHAPE),
+                      train={"epochs": 1, "batch_size": 1}, jobs=2)
+        cfg_path = root / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        model = ModelParams.init(load_run_config(str(cfg_path)).model_config, seed=0)
+        save_checkpoint(root / "m.xckp", model, epoch=0, val_accuracy=None)
+        return root, cfg_path
+
+    @staticmethod
+    def manifest(root, clips: int) -> Path:
+        """``clips`` one-second entries of the video, every fourth one a test entry."""
+        labels = (EventLabel.KILL, EventLabel.DEATH, EventLabel.BACKGROUND)
+        entries = tuple(
+            ClipRef("long.rgbc", float(i), labels[i % 3], GameId.CSGO,
+                    "test" if i % 4 == 3 else "train")
+            for i in range(clips)
+        )
+        path = root / f"manifest-{clips}.json"
+        path.write_text(manifest_to_json(DatasetManifest(seed=0, entries=entries)))
+        return path
+
+    def peak_growth_mb(self, data, tmp_path, command) -> float:
+        root, cfg_path = data
+        peaks = {}
+        for clips in (4, 32):
+            argv = [command, "--config", cfg_path, "--manifest", self.manifest(root, clips)]
+            if command == "train":
+                argv += ["--checkpoint", tmp_path / f"m-{clips}.xckp"]
+            else:
+                argv += ["--checkpoint", root / "m.xckp", "--split", "all",
+                         "--out", tmp_path / f"report-{clips}.json"]
+            peaks[clips] = cli_peak_rss_mb(argv, tmp_path)
+        return peaks[32] - peaks[4]
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_peak_rss_grows_by_about_jobs_clips_from_4_to_32(self, data, tmp_path, command):
+        growth = self.peak_growth_mb(data, tmp_path, command)
+        # holding every clip of the split grows by 28 clips, 42 MB
+        assert growth < (2 + 2) * self.CLIP_MB, f"{growth:.1f} MB"

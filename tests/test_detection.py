@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import overfit_clips, review_session, toy_model_config
+from conftest import Example, overfit_clips, read_clip, review_session, toy_model_config
 
 from fragreel import training
 from fragreel.annotations import AnnotatedEvent
@@ -367,8 +367,8 @@ def _labels_counted_correct_when_every_logit_ties():
     clip = overfit_clips()[0].clip
     counted = []
     for label in prompt_set.labels:
-        batch = [training.TrainExample(clip=clip, game=GameId.OW2, label=label)]
-        _, correct = training._batch_loss(batch, params, {GameId.OW2: prompt_set},
+        batch = [Example(clip=clip, game=GameId.OW2, label=label)]
+        _, correct = training._batch_loss(batch, read_clip, params, {GameId.OW2: prompt_set},
                                           PromptCache(), text_grad=False)
         if correct:
             counted.append(label)

@@ -13,7 +13,7 @@ from fragreel.catalogue import EventLabel, GameId
 from fragreel.detection import classify_session
 from fragreel.params import ModelParams
 from fragreel.textmodel import prompt_set_for
-from fragreel.training import materialize_examples
+from fragreel.training import eval_records
 
 needs_blas = pytest.mark.skipif(
     parallel.blas_threads() is None,
@@ -74,18 +74,18 @@ def test_caller_count_returns_when_a_worker_raises(setup):
 
 
 @needs_blas
-def test_materialize_examples_pins_and_restores():
+def test_eval_records_pins_and_restores(setup):
+    params, _, clips = setup
     seen = []
 
-    class RecordingStore:
-        def clip(self, entry):
-            seen.append(parallel.blas_threads())
-            return np.zeros(1)
+    def read(ref):
+        seen.append(parallel.blas_threads())
+        return ref.clip
 
-    entries = [SimpleNamespace(game=GameId.CSGO, label=EventLabel.KILL) for _ in range(3)]
+    refs = [SimpleNamespace(game=GameId.CSGO, label=EventLabel.KILL, clip=clip) for clip in clips[:3]]
     before = parallel.blas_threads()
-    examples = materialize_examples(entries, RecordingStore(), jobs=2)
-    assert len(examples) == 3
+    records = eval_records(refs, read, params, jobs=2)
+    assert [record.true_label for record in records] == [EventLabel.KILL] * 3
     assert set(seen) == {PINNED}
     assert parallel.blas_threads() == before
 

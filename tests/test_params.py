@@ -14,11 +14,10 @@ from fragreel.params import (
     ModelParams,
     TextConfig,
     group_of,
-    param_count,
     param_specs,
 )
 
-from conftest import toy_model_config
+from conftest import param_count, toy_model_config
 
 
 class TestConfigValidation:

@@ -7,12 +7,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import OVERFIT_TRAIN, overfit_clips, toy_model_config, tracemalloc_peak
+from conftest import (
+    OVERFIT_TRAIN,
+    Example,
+    overfit_clips,
+    read_clip,
+    toy_model_config,
+    tracemalloc_peak,
+)
 
 from fragreel import seeds, training
 from fragreel.autodiff import no_grad
 from fragreel.catalogue import EventLabel, GameId
 from fragreel.checkpoint import load_checkpoint, save_checkpoint
+from fragreel.detection import classify_second
 from fragreel.errors import ConfigError, NonFiniteGradient
 from fragreel.frames import ClipStore, PreprocessConfig, RawClip, write_rgbc
 from fragreel.annotations import ClipRef
@@ -22,11 +30,10 @@ from fragreel.training import (
     DEFAULT_FREEZE,
     OptimizerState,
     TrainConfig,
-    TrainExample,
     adamw_step,
     cosine_lr,
+    eval_records,
     evaluate,
-    materialize_examples,
     train,
 )
 from fragreel.videomodel import encode_video
@@ -169,7 +176,7 @@ class TestFrozenGradients:
     def test_default_freeze_step_skips_frozen_and_keeps_trainable_grads(self):
         examples = overfit_clips()[:1]
         params = ModelParams.init(toy_model_config(), seed=7)
-        train(examples, [], params, TrainConfig(epochs=1, batch_size=1, seed=3))
+        train(examples, [], read_clip, params, TrainConfig(epochs=1, batch_size=1, seed=3))
         frozen = [n for n in params.names() if n.startswith(("text.", "prompt."))]
         assert frozen
         for name in frozen:
@@ -178,7 +185,8 @@ class TestFrozenGradients:
         # the same step with every tensor trainable, as init leaves them
         everything = ModelParams.init(toy_model_config(), seed=7)
         prompt_sets = {GameId.OW2: prompt_set_for(GameId.OW2)}
-        loss, _ = training._batch_loss(examples, everything, prompt_sets, PromptCache(), False)
+        loss, _ = training._batch_loss(examples, read_clip, everything, prompt_sets,
+                                       PromptCache(), False)
         loss.backward()
         trainable = params.trainable_names(DEFAULT_FREEZE)
         assert all(everything[n].grad is not None for n in frozen if n.startswith("prompt."))
@@ -198,7 +206,7 @@ class TestTrainingMemory:
         ))
         rng = np.random.default_rng(0)
         examples = [
-            TrainExample(rng.normal(size=(8, 64, 64, 3)).astype(np.float32), GameId.OW2, label)
+            Example(rng.normal(size=(8, 64, 64, 3)).astype(np.float32), GameId.OW2, label)
             for label in (EventLabel.KILL, EventLabel.DEATH)
         ]
         prompt_sets = {GameId.OW2: prompt_set_for(GameId.OW2)}
@@ -211,7 +219,8 @@ class TestTrainingMemory:
         base_embeddings(prompt_sets[GameId.OW2], params, cache)
         tracemalloc.start()
         try:
-            loss, _ = training._batch_loss(examples[:1], params, prompt_sets, cache, False)
+            loss, _ = training._batch_loss(examples[:1], read_clip, params, prompt_sets, cache,
+                                           False)
             graph = tracemalloc.get_traced_memory()[0]
             del loss
         finally:
@@ -219,7 +228,7 @@ class TestTrainingMemory:
 
         params = ModelParams.init(cfg, seed=7)
         _, peak = tracemalloc_peak(
-            lambda: train(examples, [], params, TrainConfig(epochs=1, batch_size=1)))
+            lambda: train(examples, [], read_clip, params, TrainConfig(epochs=1, batch_size=1)))
         assert graph > 10e6
         assert peak <= 1.3 * graph, f"peak {peak / 1e6:.1f} MB, graph {graph / 1e6:.1f} MB"
 
@@ -234,8 +243,8 @@ class TestPromptCacheLifetime:
         served_and_fresh = []
         real_evaluate = training.evaluate
 
-        def checked_evaluate(examples, params, catalogue=None, cache=None):
-            score = real_evaluate(examples, params, catalogue, cache)
+        def checked_evaluate(refs, read, params, catalogue=None, cache=None, jobs=1):
+            score = real_evaluate(refs, read, params, catalogue, cache, jobs)
             served_and_fresh.append(
                 (base_embeddings(prompt_set, params, cache), base_embeddings(prompt_set, params))
             )
@@ -244,7 +253,7 @@ class TestPromptCacheLifetime:
         monkeypatch.setattr(training, "evaluate", checked_evaluate)
         cfg = TrainConfig(epochs=3, batch_size=4, lr_max=2e-2, lr_min=2e-3, seed=3,
                           freeze={"prompting_module"})
-        train(examples[:6], examples[6:], params, cfg)
+        train(examples[:6], examples[6:], read_clip, params, cfg)
         assert len(served_and_fresh) == cfg.epochs
         for served, fresh in served_and_fresh:
             np.testing.assert_array_equal(served, fresh)
@@ -260,7 +269,7 @@ class TestOverfitRun:
         assert max(accs) == 1.0
 
     def test_best_parameters_classify_every_example(self, overfit_run):
-        score = evaluate(overfit_run["examples"], overfit_run["best"])
+        score = evaluate(overfit_run["examples"], read_clip, overfit_run["best"])
         assert score == 1.0
 
     def test_history_follows_cosine_schedule(self, overfit_run):
@@ -318,7 +327,7 @@ class TestFirstEpochDescent:
         def on_step(epoch, step, pre_loss):
             outcomes.append(batch_loss(batches[step]) < pre_loss)
 
-        train(examples, [], params, cfg, on_step=on_step)
+        train(examples, [], read_clip, params, cfg, on_step=on_step)
         assert len(outcomes) == len(examples)
         assert sum(outcomes) / len(outcomes) >= 0.8
 
@@ -334,7 +343,7 @@ class TestRunDeterminism:
         runs = []
         for _ in range(2):
             params = ModelParams.init(toy_model_config(), seed=7)
-            history = train(examples, [], params, self.short_cfg(11))
+            history = train(examples, [], read_clip, params, self.short_cfg(11))
             runs.append((params, history))
         (first, hist_a), (second, hist_b) = runs
         assert hist_a == hist_b
@@ -346,7 +355,7 @@ class TestRunDeterminism:
         histories = []
         for seed in (11, 12):
             params = ModelParams.init(toy_model_config(), seed=7)
-            history = train(examples, [], params, self.short_cfg(seed))
+            history = train(examples, [], read_clip, params, self.short_cfg(seed))
             histories.append(history)
         assert histories[0] != histories[1]
 
@@ -361,7 +370,8 @@ class TestTrainFromLoadedCheckpoint:
         cfg = TrainConfig(epochs=2, batch_size=4, lr_max=5e-3, lr_min=5e-4, seed=11)
         loaded, _ = load_checkpoint(path)
         fresh = ModelParams.init(toy_model_config(), seed=7)
-        assert train(overfit_clips(), [], loaded, cfg) == train(overfit_clips(), [], fresh, cfg)
+        assert (train(overfit_clips(), [], read_clip, loaded, cfg)
+                == train(overfit_clips(), [], read_clip, fresh, cfg))
         assert path.read_bytes() == before
         trainable = set(loaded.trainable_names(cfg.freeze))
         for name in loaded.names():
@@ -375,14 +385,14 @@ class TestValidationMetric:
 
     def test_empty_evaluation_returns_none(self):
         params = ModelParams.init(toy_model_config(), seed=0)
-        assert evaluate([], params) is None
+        assert evaluate([], read_clip, params) is None
 
     def test_validation_accuracy_recorded_and_checkpointed(self, tmp_path):
         examples = overfit_clips()
         params = ModelParams.init(toy_model_config(), seed=7)
         cfg = TrainConfig(epochs=3, batch_size=4, lr_max=5e-3, lr_min=5e-4, seed=3)
         ckpt = tmp_path / "model.xckp"
-        history = train(examples, examples[:4], params, cfg, checkpoint_path=ckpt)
+        history = train(examples, examples[:4], read_clip, params, cfg, checkpoint_path=ckpt)
         assert all(record["val_acc"] is not None for record in history)
         written = [h for h in history if h["checkpoint_written"]]
         assert written
@@ -393,11 +403,12 @@ class TestValidationMetric:
     def test_empty_training_set_rejected(self):
         params = ModelParams.init(toy_model_config(), seed=0)
         with pytest.raises(ConfigError):
-            train([], [], params, TrainConfig())
+            train([], [], read_clip, params, TrainConfig())
 
 
-class TestMaterializeExamples:
-    """Manifest entries decode (on a thread pool) into ordered train examples."""
+class TestEvalRecords:
+    """Manifest entries are read where they are classified, on a thread
+    pool, into one record each in entry order."""
 
     def make_store(self, tmp_path, count=5):
         rng = np.random.default_rng(42)
@@ -424,21 +435,21 @@ class TestMaterializeExamples:
             ClipRef(f"clip{i}.rgbc", 0.5 + i * 0.25, labels[i], GameId.CSGO, "train")
             for i in range(5)
         ]
-        out = materialize_examples(entries, store, jobs=4)
+        params = ModelParams.init(toy_model_config(), seed=7)
+        out = eval_records(entries, store.clip, params, jobs=4)
         assert len(out) == 5
-        for entry, example in zip(entries, out):
-            assert isinstance(example, TrainExample)
-            assert example.label == entry.label
-            assert example.game == entry.game
-            expected = store.clip(entry)
-            np.testing.assert_array_equal(example.clip, expected)
+        prompt_set = prompt_set_for(GameId.CSGO)
+        for entry, record in zip(entries, out):
+            assert record.true_label == entry.label
+            assert record.game == entry.game
+            expected = classify_second(store.clip(entry), prompt_set, params)
+            assert record.probabilities == expected.probabilities
 
-    def test_single_worker_equivalent(self, tmp_path):
+    def test_jobs_1_and_2_agree(self, tmp_path):
         store = self.make_store(tmp_path, count=3)
         entries = [
             ClipRef(f"clip{i}.rgbc", 1.0, EventLabel.KILL, GameId.CSGO, "train") for i in range(3)
         ]
-        wide = materialize_examples(entries, store, jobs=4)
-        narrow = materialize_examples(entries, store, jobs=1)
-        for a, b in zip(wide, narrow):
-            np.testing.assert_array_equal(a.clip, b.clip)
+        params = ModelParams.init(toy_model_config(), seed=7)
+        pooled = eval_records(entries, store.clip, params, jobs=2)
+        assert pooled == eval_records(entries, store.clip, params, jobs=1)
